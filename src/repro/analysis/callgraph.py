@@ -26,6 +26,32 @@ RECURSIVE = "recursive"
 CATEGORIES = (EXTERNAL, INDIRECT, CROSS_MODULE, WITHIN_MODULE, RECURSIVE)
 
 
+def classify_site(
+    caller: Procedure,
+    instr: Instr,
+    callee: Optional[Procedure],
+    scc_id: Optional[Dict[str, int]] = None,
+) -> str:
+    """The Figure 5 category of one call site.
+
+    With ``scc_id`` (procedure name -> SCC index) a call into the
+    caller's own SCC is recursive; without it only a self call is.
+    """
+    if isinstance(instr, ICall):
+        return INDIRECT
+    if callee is None:
+        return EXTERNAL
+    if scc_id is None:
+        recursive = callee.name == caller.name
+    else:
+        recursive = scc_id.get(caller.name) == scc_id.get(callee.name)
+    if recursive:
+        return RECURSIVE
+    if caller.module != callee.module:
+        return CROSS_MODULE
+    return WITHIN_MODULE
+
+
 class CallSite:
     """One static call site in the program."""
 
@@ -103,23 +129,12 @@ class CallGraph:
         self._compute_sccs(defined, raw_edges)
 
         for proc, block, index, instr, callee in pending:
-            category = self._classify(proc, instr, callee)
+            category = classify_site(proc, instr, callee, self._scc_id)
             site = CallSite(proc, block, index, instr, callee, category)
             self.sites.append(site)
             self._callees[proc.name].append(site)
             if callee is not None:
                 self._callers.setdefault(callee.name, []).append(site)
-
-    def _classify(self, caller: Procedure, instr: Instr, callee: Optional[Procedure]) -> str:
-        if isinstance(instr, ICall):
-            return INDIRECT
-        if callee is None:
-            return EXTERNAL
-        if self._scc_id.get(caller.name) == self._scc_id.get(callee.name):
-            return RECURSIVE
-        if caller.module != callee.module:
-            return CROSS_MODULE
-        return WITHIN_MODULE
 
     def _compute_sccs(self, defined: Dict[str, Procedure], edges: Dict[str, List[str]]) -> None:
         """Iterative Tarjan over direct-call edges.

@@ -35,8 +35,11 @@ SiteCounts = Dict[Tuple[str, int], int]
 class AnalysisManager:
     """Per-HLO-run cache of call graph, entry counts, and block freqs."""
 
-    def __init__(self, program: Program):
+    def __init__(self, program: Program, memoize: bool = True):
         self.program = program
+        # Unmemoized, every request recomputes from the current IR (the
+        # reference the memoized path is tested against).
+        self.memoize = memoize
         self._graph: Optional[CallGraph] = None
         # Keyed by whether measured site counts were applied; within
         # one HLO run the site-count table itself never changes.
@@ -53,7 +56,7 @@ class AnalysisManager:
     # ------------------------------------------------------------------
 
     def callgraph(self) -> CallGraph:
-        if self._graph is None:
+        if self._graph is None or not self.memoize:
             self.misses += 1
             self._graph = CallGraph(self.program)
         else:
@@ -62,7 +65,7 @@ class AnalysisManager:
 
     def entry_counts(self, site_counts: Optional[SiteCounts]) -> Dict[str, float]:
         key = site_counts is not None
-        cached = self._entry.get(key)
+        cached = self._entry.get(key) if self.memoize else None
         if cached is None:
             graph = self.callgraph()
             self.misses += 1
@@ -73,7 +76,13 @@ class AnalysisManager:
         return cached
 
     def freq_cache(self) -> Dict[str, Dict[str, float]]:
-        """The shared per-procedure block-frequency memo table."""
+        """The shared per-procedure block-frequency memo table.
+
+        Unmemoized, each request starts a fresh table: a pass or stage
+        still reuses frequencies within itself, never across stages.
+        """
+        if not self.memoize:
+            self._freqs = {}
         return self._freqs
 
     # ------------------------------------------------------------------

@@ -16,25 +16,23 @@ so later passes reuse rather than re-create them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..analysis.manager import AnalysisManager
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..analysis.callgraph import CallGraph, CallSite
-from ..analysis.freq import context_block_freqs, entry_counts, site_weight
+from ..analysis.freq import context_block_freqs, site_weight
+from ..analysis.manager import AnalysisManager
 from ..ir.instructions import Branch, Call, ICall
 from ..ir.procedure import Procedure
 from ..ir.program import Program
 from ..ir.values import FuncRef, GlobalRef, Imm, Operand, Reg
 from ..obs import NULL_OBSERVER
-from ..obs.ledger import record_decision
 from ..opt.pass_manager import optimize_proc
 from .benefit import cached_block_freqs
 from .budget import Budget
 from .config import HLOConfig
 from .legality import clone_blocker
 from .report import HLOReport
+from .stage import Stage
 from .transplant import copy_into_new_proc, subtract_moved_counts, transfer_ratio
 
 SpecKey = Tuple[str, Tuple[Tuple[int, Tuple], ...]]
@@ -203,23 +201,23 @@ class CloneGroup:
         return spec_key(self.callee.name, self.spec)
 
 
-def build_clone_groups(
-    program: Program,
-    graph: CallGraph,
-    config: HLOConfig,
-    site_counts: Optional[Dict[Tuple[str, int], int]],
-    manager: Optional["AnalysisManager"] = None,
-    obs=NULL_OBSERVER,
-    report: Optional[HLOReport] = None,
-    pass_number: int = 0,
+def iter_clone_groups(
+    stage: Stage,
+    seeds: Iterable[CallSite],
+    address_taken: Set[str],
+    interior: Optional[Set[Tuple[str, int]]] = None,
     context_counts=None,
-) -> List[CloneGroup]:
-    """Form ranked clone groups; rejected seeds land on the ledger.
+) -> Iterator[CloneGroup]:
+    """Form clone groups from ``seeds``, lazily and in seed order.
 
-    Every site iterated here gets exactly one fate: a legality /
+    Every seed iterated here gets exactly one fate: a legality /
     no-context / benefit rejection recorded immediately, or membership
-    in a returned group (whose accept-or-reject decision the budget
-    selection in :func:`clone_pass` records).
+    in a yielded group (whose accept-or-reject decision the consumer
+    records).  Members are sought among all callers of the callee in
+    ``stage.graph``, limited to the site keys in ``interior`` when one
+    is given (a demand region never visits cold callers).  Because the
+    generator is lazy, a consumer may transform each group before the
+    next seed is screened.
 
     ``context_counts`` (from a context-sensitive profile database's
     :meth:`~repro.profile.ProfileDatabase.context_view`) sharpens the
@@ -229,17 +227,10 @@ def build_clone_groups(
     one caller neither dilutes that caller's benefit nor inflates the
     others'.
     """
-    counts = site_counts if config.use_profile else None
+    program, config, graph = stage.program, stage.config, stage.graph
     ctx_counts = context_counts if config.use_profile else None
-    if manager is not None:
-        entry = manager.entry_counts(counts)
-        freq_cache = manager.freq_cache()
-    else:
-        entry = entry_counts(program, graph, counts)
-        freq_cache = {}
     usage_cache: Dict[str, List[float]] = {}
     ctx_usage_cache: Dict[Tuple[str, str], Optional[List[float]]] = {}
-    address_taken = _address_taken(program)
 
     def member_value(callee: Procedure, member: CallSite, spec, aggregate: float) -> float:
         """The group value as seen from one member's caller."""
@@ -258,30 +249,26 @@ def build_clone_groups(
             return aggregate
         return sum(ctx_usage[pos] for pos in spec)
 
-    groups: List[CloneGroup] = []
     grouped_sites: Set[Tuple[str, int]] = set()
-
-    for site in graph.sites:
+    for site in seeds:
         if site.key in grouped_sites:
             continue
         blocker = clone_blocker(
             program, site, config.cross_module, config.local_modules
         )
         if blocker is not None:
-            record_decision(
-                obs, report, "clone", pass_number, site, "rejected", blocker,
-            )
+            stage.record("clone", site, "rejected", blocker)
             continue
         callee = site.callee
         assert callee is not None
         usage = usage_cache.get(callee.name)
         if usage is None:
-            usage = param_usage_weights(callee, config, freq_cache)
+            usage = param_usage_weights(callee, config, stage.freq_cache)
             usage_cache[callee.name] = usage
         spec = make_clone_spec(site, usage)
         if not spec:
-            record_decision(
-                obs, report, "clone", pass_number, site, "rejected",
+            stage.record(
+                "clone", site, "rejected",
                 "no caller-supplied constant meets an interesting parameter",
                 reason_class="benefit",
             )
@@ -293,6 +280,8 @@ def build_clone_groups(
             for other in graph.callers_of(callee.name):
                 if other.key == site.key or other.key in grouped_sites:
                     continue
+                if interior is not None and other.key not in interior:
+                    continue
                 if clone_blocker(
                     program, other, config.cross_module, config.local_modules
                 ) is not None:
@@ -302,16 +291,15 @@ def build_clone_groups(
 
         value = sum(usage[pos] for pos in spec)
         benefit = sum(
-            site_weight(m, entry, counts, config.use_profile)
+            site_weight(m, stage.entry, stage.counts, config.use_profile)
             * member_value(callee, m, spec, value)
             for m in members
         )
         if benefit <= config.min_clone_benefit:
             # Only the seed: ungrouped members get their own iteration.
-            record_decision(
-                obs, report, "clone", pass_number, site, "rejected",
-                "benefit below threshold", reason_class="benefit",
-                benefit=benefit,
+            stage.record(
+                "clone", site, "rejected", "benefit below threshold",
+                reason_class="benefit", benefit=benefit,
             )
             continue
 
@@ -323,13 +311,34 @@ def build_clone_groups(
             and callee.name not in address_taken
             and callee.name != "main"
         )
-        group = CloneGroup(callee, spec, members, benefit, deletes)
-        groups.append(group)
-        for m in members:
-            grouped_sites.add(m.key)
+        grouped_sites.update(member_keys)
+        yield CloneGroup(callee, spec, members, benefit, deletes)
 
-    groups.sort(key=lambda g: (-g.benefit, g.callee.name))
-    return groups
+
+def _by_benefit(group: CloneGroup) -> Tuple[float, str]:
+    return (-group.benefit, group.callee.name)
+
+
+def build_clone_groups(
+    program: Program,
+    graph: CallGraph,
+    config: HLOConfig,
+    site_counts: Optional[Dict[Tuple[str, int], int]],
+    manager: Optional[AnalysisManager] = None,
+    obs=NULL_OBSERVER,
+    report: Optional[HLOReport] = None,
+    pass_number: int = 0,
+    context_counts=None,
+) -> List[CloneGroup]:
+    """Every clone group over ``graph``'s sites, best benefit first."""
+    if manager is None:
+        manager = AnalysisManager(program)
+    counts = site_counts if config.use_profile else None
+    stage = Stage(program, config, report, obs, pass_number, graph,
+                  manager.entry_counts(counts), manager.freq_cache(), counts)
+    groups = iter_clone_groups(stage, graph.sites, _address_taken(program),
+                               context_counts=context_counts)
+    return sorted(groups, key=_by_benefit)
 
 
 def _address_taken(program: Program) -> Set[str]:
@@ -342,6 +351,93 @@ def _address_taken(program: Program) -> Set[str]:
     return taken
 
 
+def reusable_clone(
+    stage: Stage, database: CloneDatabase, group: CloneGroup
+) -> Optional[str]:
+    """The database's live clone for ``group``, if there is one."""
+    if not stage.config.clone_database:
+        return None
+    clone_name = database.lookup(group.key)
+    if clone_name is not None and stage.program.proc(clone_name) is None:
+        return None  # the recorded clone has since been deleted
+    return clone_name
+
+
+def materialize_clone(
+    stage: Stage,
+    database: CloneDatabase,
+    group: CloneGroup,
+    site_counts: Optional[Dict[Tuple[str, int], int]],
+) -> str:
+    """Create ``group``'s clone (Figure 3: "create clones"); returns its
+    name.  ``site_counts`` measures how much of the clonee's traffic
+    moves to the clone."""
+    program, callee = stage.program, group.callee
+    clone_name = database.fresh_name(program, callee.name)
+    ratio = transfer_ratio(_group_traffic(group, site_counts), _entry_count(callee))
+    with stage.span("clone:" + clone_name, clonee=callee.name):
+        module = program.modules[callee.module]
+        clone = copy_into_new_proc(
+            program, callee, module, clone_name, group.spec, ratio,
+            on_promote=stage.report.record_promotion,
+        )
+        module.add_proc(clone)
+        subtract_moved_counts(callee, ratio)
+        # The clonee's counts just migrated into the clone.
+        stage.mutated.add(callee.name)
+        stage.mutated.add(clone_name)
+        stage.report.clones += 1
+        if stage.config.clone_database:
+            database.record(group.key, clone_name)
+        stage.touched.add(clone_name)
+        if stage.config.reoptimize:
+            # Optimize the clone immediately so the bound constants
+            # propagate into its own call sites before the in-clone
+            # retarget scan (the recursive pass-through case).
+            optimize_proc(program, clone)
+    return clone_name
+
+
+def retarget_members(
+    stage: Stage,
+    group: CloneGroup,
+    clone_name: str,
+    stop_after: Optional[int] = None,
+) -> int:
+    """Point the group's call sites at ``clone_name``; returns how many
+    were retargeted.  Once the report reaches ``stop_after`` transforms
+    the remaining members are rejected instead."""
+    report = stage.report
+    replaced = 0
+    for index, member in enumerate(group.sites):
+        if stop_after is not None and report.transform_count >= stop_after:
+            for later in group.sites[index:]:
+                stage.record(
+                    "clone", later, "rejected", "stop-after limit reached",
+                    reason_class="budget", benefit=group.benefit,
+                )
+            break
+        if _retarget_site(member, group.spec, clone_name):
+            replaced += 1
+            stage.record(
+                "clone", member, "cloned", "call site retargeted to clone",
+                reason_class="accepted", benefit=group.benefit,
+            )
+            report.record_clone_replacement(
+                stage.number, member.caller.name, clone_name,
+                member.instr.site_id, group.callee.name,
+            )
+            stage.touched.add(member.caller.name)
+            stage.mutated.add(member.caller.name)
+        else:
+            stage.record(
+                "clone", member, "rejected",
+                "call site changed before retargeting",
+                reason_class="mechanical",
+            )
+    return replaced
+
+
 def clone_pass(
     program: Program,
     config: HLOConfig,
@@ -350,19 +446,24 @@ def clone_pass(
     pass_number: int,
     database: CloneDatabase,
     site_counts: Optional[Dict[Tuple[str, int], int]] = None,
-    manager: Optional["AnalysisManager"] = None,
+    manager: Optional[AnalysisManager] = None,
     obs=NULL_OBSERVER,
     context_counts=None,
 ) -> int:
     """Run one cloning pass; returns the number of sites retargeted."""
-    graph = manager.callgraph() if manager is not None else CallGraph(program)
-    groups = build_clone_groups(
-        program, graph, config, site_counts, manager, obs, report, pass_number,
-        context_counts=context_counts,
+    if manager is None:
+        manager = AnalysisManager(program)
+    stage = Stage.from_manager(
+        program, config, report, obs, pass_number, manager, site_counts
+    )
+    groups = sorted(
+        iter_clone_groups(stage, stage.graph.sites, _address_taken(program),
+                          context_counts=context_counts),
+        key=_by_benefit,
     )
 
     # Select within the stage's allotment (Figure 3: "select clones").
-    stage = budget.stage_limit(pass_number)
+    limit = budget.stage_limit(pass_number)
     projected = budget.current
     accepted: List[CloneGroup] = []
     for group in groups:
@@ -370,98 +471,32 @@ def clone_pass(
         cost = 0.0 if exists else Budget.clone_delta(
             group.callee.size(), group.deletes_clonee
         )
-        if projected + cost <= stage:
+        if projected + cost <= limit:
             accepted.append(group)
             projected += cost
         else:
             for member in group.sites:
-                record_decision(
-                    obs, report, "clone", pass_number, member, "rejected",
-                    "staged budget exhausted", reason_class="budget",
-                    benefit=group.benefit,
+                stage.record(
+                    "clone", member, "rejected", "staged budget exhausted",
+                    reason_class="budget", benefit=group.benefit,
                 )
     # Any group not handled in this pass is discarded; it may be
     # recreated and cloned in a later pass (Section 2.3).
 
     replaced = 0
-    touched: Set[str] = set()
-    mutated: Set[str] = set()
     for group_index, group in enumerate(accepted):
         if config.stop_after is not None and report.transform_count >= config.stop_after:
             for later in accepted[group_index:]:
                 for member in later.sites:
-                    record_decision(
-                        obs, report, "clone", pass_number, member, "rejected",
-                        "stop-after limit reached", reason_class="budget",
-                        benefit=later.benefit,
+                    stage.record(
+                        "clone", member, "rejected", "stop-after limit reached",
+                        reason_class="budget", benefit=later.benefit,
                     )
             break
-        clone_name = database.lookup(group.key) if config.clone_database else None
-        if clone_name is not None and program.proc(clone_name) is None:
-            clone_name = None  # the recorded clone has since been deleted
-        if clone_name is None:
-            clone_name = database.fresh_name(program, group.callee.name)
-            group_count = _group_traffic(group, site_counts)
-            ratio = transfer_ratio(group_count, _entry_count(group.callee))
-            with obs.tracer.span(
-                "clone:{}".format(clone_name) if obs.tracer.enabled else "",
-                cat="transform", clonee=group.callee.name,
-            ):
-                clone = copy_into_new_proc(
-                    program,
-                    group.callee,
-                    program.modules[group.callee.module],
-                    clone_name,
-                    group.spec,
-                    ratio,
-                    on_promote=report.record_promotion,
-                )
-                program.modules[group.callee.module].add_proc(clone)
-                subtract_moved_counts(group.callee, ratio)
-                # The clonee's counts just migrated into the clone.
-                mutated.add(group.callee.name)
-                mutated.add(clone_name)
-                report.clones += 1
-                if config.clone_database:
-                    database.record(group.key, clone_name)
-                touched.add(clone_name)
-                if config.reoptimize:
-                    # Optimize the clone immediately so the bound constants
-                    # propagate into its own call sites before the in-clone
-                    # retarget scan below (the recursive pass-through case).
-                    optimize_proc(program, clone)
-
-        for member_index, member in enumerate(group.sites):
-            if config.stop_after is not None and report.transform_count >= config.stop_after:
-                for later in group.sites[member_index:]:
-                    record_decision(
-                        obs, report, "clone", pass_number, later, "rejected",
-                        "stop-after limit reached", reason_class="budget",
-                        benefit=group.benefit,
-                    )
-                break
-            if _retarget_site(member, group.spec, clone_name):
-                replaced += 1
-                record_decision(
-                    obs, report, "clone", pass_number, member, "cloned",
-                    "call site retargeted to clone", reason_class="accepted",
-                    benefit=group.benefit,
-                )
-                report.record_clone_replacement(
-                    pass_number,
-                    member.caller.name,
-                    clone_name,
-                    member.instr.site_id,
-                    group.callee.name,
-                )
-                touched.add(member.caller.name)
-                mutated.add(member.caller.name)
-            else:
-                record_decision(
-                    obs, report, "clone", pass_number, member, "rejected",
-                    "call site changed before retargeting",
-                    reason_class="mechanical",
-                )
+        clone_name = reusable_clone(stage, database, group) or materialize_clone(
+            stage, database, group, site_counts
+        )
+        replaced += retarget_members(stage, group, clone_name, config.stop_after)
 
         # The clone body may itself contain group-compatible recursive
         # sites (copied from the clonee); retarget those too so a fully
@@ -479,7 +514,7 @@ def clone_pass(
                         a for i, a in enumerate(instr.args) if i not in group.spec
                     ]
                     replaced += 1
-                    mutated.add(clone_name)
+                    stage.mutated.add(clone_name)
                     report.record_clone_replacement(
                         pass_number, clone_name, clone_name, instr.site_id, group.callee.name
                     )
@@ -494,14 +529,10 @@ def clone_pass(
                             "accepted", group.benefit,
                         )
 
-    if config.reoptimize:
-        for name in sorted(touched):
-            proc = program.proc(name)
-            if proc is not None:
-                optimize_proc(program, proc)
+    stage.reoptimize_touched()
     budget.recalibrate(program)
-    if manager is not None and mutated:
-        manager.invalidate_procs(mutated)
+    if stage.mutated:
+        manager.invalidate_procs(stage.mutated)
     return replaced
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..analysis.callgraph import CallGraph
+from ..analysis.manager import AnalysisManager
 from ..ir.instructions import ICall
 from ..ir.program import Program
 from ..ir.verifier import verify_program
@@ -93,7 +93,10 @@ def run_hlo(
     # elimination, before any budget measurement.
     with obs.tracer.span("input-stage", cat="hlo"):
         optimize_program(program, pipeline, guard=guard, phase="input")
-        _delete_unreachable(program, report, config.cross_module)
+        _delete_unreachable(
+            program, report, config.cross_module,
+            AnalysisManager(program, memoize=False),
+        )
 
     if config.enable_outlining:
         # Section 5's complement: shrink hot routines by extracting cold
@@ -116,14 +119,11 @@ def run_hlo(
                 run_outline()
 
     # Analyses computed from here on are memoized across stages and
-    # passes; the inliner/cloner invalidate exactly what they mutate
-    # (docs/performance.md).  Created after the input stage so the
-    # scalar clean-up above never leaves stale entries behind.
-    manager = None
-    if config.memoize_analyses:
-        from ..analysis.manager import AnalysisManager
-
-        manager = AnalysisManager(program)
+    # passes (unless ``memoize_analyses`` is off); the inliner/cloner
+    # invalidate exactly what they mutate (docs/performance.md).
+    # Created after the input stage so the scalar clean-up above never
+    # leaves stale entries behind.
+    manager = AnalysisManager(program, memoize=config.memoize_analyses)
 
     budget = Budget(program, config.budget_percent, config.pass_limit)
     report.initial_cost = budget.initial_cost
@@ -157,7 +157,7 @@ def run_hlo(
         with obs.tracer.span("demand-stage", cat="hlo"):
             demand_stage(
                 program, config, budget, report, database, site_counts,
-                manager, obs, context_counts, guard, pipeline,
+                manager, obs, guard, pipeline,
             )
         with obs.tracer.span("unreachable-sweep", cat="hlo"):
             _delete_unreachable(program, report, config.cross_module, manager)
@@ -238,14 +238,13 @@ def run_hlo(
     # memoized analysis is stale afterwards.
     with obs.tracer.span("output-stage", cat="hlo"):
         optimize_program(program, pipeline, guard=guard, phase="output")
-        if manager is not None:
-            manager.invalidate_all()
+        manager.invalidate_all()
         _delete_unreachable(program, report, config.cross_module, manager)
     budget.recalibrate(program)
     report.final_cost = budget.current
     report.clone_db_hits = database.hits
     report.devirtualized = max(0, icalls_before - _count_icalls(program))
-    if manager is not None:
+    if config.memoize_analyses:
         report.analysis_hits = manager.hits
         report.analysis_misses = manager.misses
         report.analysis_invalidations = manager.invalidations
@@ -314,7 +313,8 @@ def _count_icalls(program: Program) -> int:
 
 
 def _delete_unreachable(
-    program: Program, report: HLOReport, whole_program: bool, manager=None
+    program: Program, report: HLOReport, whole_program: bool,
+    manager: AnalysisManager,
 ) -> None:
     """Delete routines unreachable from the roots.
 
@@ -326,7 +326,7 @@ def _delete_unreachable(
     """
     if program.proc("main") is None:
         return
-    graph = manager.callgraph() if manager is not None else CallGraph(program)
+    graph = manager.callgraph()
     if whole_program:
         roots = ["main"]
     else:
@@ -340,5 +340,5 @@ def _delete_unreachable(
             program.delete_proc(proc.name)
             report.record_deletion(proc.name)
             deleted.append(proc.name)
-    if manager is not None and deleted:
+    if deleted:
         manager.invalidate_procs(deleted)

@@ -12,25 +12,21 @@ re-optimized and the budget recalibrated.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..analysis.callgraph import CallGraph
-from ..analysis.freq import entry_counts
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..analysis.manager import AnalysisManager
+from ..analysis.callgraph import CallSite
+from ..analysis.manager import AnalysisManager
 from ..ir.basicblock import BasicBlock
 from ..ir.instructions import Call, Jump
 from ..ir.procedure import Procedure
 from ..ir.program import Program
 from ..obs import NULL_OBSERVER
-from ..obs.ledger import record_decision
-from ..opt.pass_manager import optimize_proc
 from .benefit import RankedSite, rank_site
 from .budget import Budget
 from .config import HLOConfig
 from .legality import inline_blocker
 from .report import HLOReport
+from .stage import Stage
 from .transplant import (
     BlockSnapshot,
     splice_body,
@@ -61,58 +57,32 @@ def inline_pass(
     report: HLOReport,
     pass_number: int,
     site_counts: Optional[Dict[Tuple[str, int], int]] = None,
-    manager: Optional["AnalysisManager"] = None,
+    manager: Optional[AnalysisManager] = None,
     obs=NULL_OBSERVER,
 ) -> int:
     """Run one inline pass; returns the number of inlines performed.
 
-    With an :class:`~repro.analysis.AnalysisManager`, the call graph,
-    entry counts, and block frequencies are reused from earlier stages
-    when still valid; the pass reports every procedure it mutated back
-    to the manager so the caches stay honest.  ``obs`` is the
-    observability bundle: every site evaluated here leaves a decision
-    on its ledger (and bumps ``report.sites_considered``).
+    The call graph, entry counts, and block frequencies come from the
+    :class:`~repro.analysis.AnalysisManager`, reused from earlier
+    stages when still valid; the pass reports every procedure it
+    mutated back to the manager so the caches stay honest.  ``obs`` is
+    the observability bundle: every site evaluated here leaves a
+    decision on its ledger (and bumps ``report.sites_considered``).
     """
-    counts = site_counts if config.use_profile else None
-    if manager is not None:
-        graph = manager.callgraph()
-        entry = manager.entry_counts(counts)
-        freq_cache = manager.freq_cache()
-    else:
-        graph = CallGraph(program)
-        entry = entry_counts(program, graph, counts)
-        freq_cache = {}
-
-    # Screen and rank (Figure 4: "screen inline candidates").
-    candidates: List[RankedSite] = []
-    for site in graph.sites:
-        blocker = inline_blocker(
-            program, site, config.cross_module, config.inline_recursive,
-            config.local_modules,
-        )
-        if blocker is not None:
-            record_decision(
-                obs, report, "inline", pass_number, site, "rejected", blocker,
-            )
-            continue
-        ranked = rank_site(site, entry, config, counts, freq_cache)
-        if ranked.always_inline or ranked.benefit > config.min_inline_benefit:
-            candidates.append(ranked)
-        else:
-            record_decision(
-                obs, report, "inline", pass_number, site, "rejected",
-                "benefit below threshold", reason_class="benefit",
-                benefit=ranked.benefit,
-            )
-    candidates.sort(key=lambda r: r.sort_key)
+    if manager is None:
+        manager = AnalysisManager(program)
+    stage = Stage.from_manager(
+        program, config, report, obs, pass_number, manager, site_counts
+    )
+    candidates = screen_inline_sites(stage, stage.graph.sites)
 
     # Greedy selection against the staged budget, with cascaded costs
     # modelled by replaying the projected schedule.
     base_sizes = {p.name: p.size() for p in program.all_procs()}
     base_cost = sum(s * s for s in base_sizes.values())
     other_cost = budget.current - base_cost  # cost attributed elsewhere (≈0)
-    perform_rank = {name: i for i, name in enumerate(graph.bottom_up_order())}
-    stage = budget.stage_limit(pass_number)
+    perform_rank = stage.perform_rank
+    limit = budget.stage_limit(pass_number)
 
     schedule: List[ScheduledInline] = []
     for ranked in candidates:
@@ -121,73 +91,115 @@ def inline_pass(
         projected_cost = _replay_cost(schedule, base_sizes, perform_rank) + other_cost
         if ranked.always_inline:
             continue  # user directive: exempt from the budget
-        if projected_cost > stage:
+        if projected_cost > limit:
             schedule.pop()
-            record_decision(
-                obs, report, "inline", pass_number, ranked.site, "rejected",
-                "staged budget exhausted", reason_class="budget",
-                benefit=ranked.benefit,
+            stage.record(
+                "inline", ranked.site, "rejected", "staged budget exhausted",
+                reason_class="budget", benefit=ranked.benefit,
             )
 
     if not schedule:
         return 0
+    performed = perform_inlines(
+        stage, [item.ranked for item in schedule],
+        "accepted within staged budget", config.stop_after,
+    )
 
-    # Perform bottom-up (callees before callers), so bodies accumulate.
-    schedule.sort(key=lambda s: (perform_rank.get(s.caller, 0), -s.ranked.benefit))
+    # "optimize inlines and recalibrate"
+    stage.reoptimize_touched()
+    budget.recalibrate(program)
+    if stage.mutated:
+        manager.invalidate_procs(stage.mutated)
+    return performed
+
+
+def screen_inline_sites(stage: Stage, sites: Iterable[CallSite]) -> List[RankedSite]:
+    """Screen and rank (Figure 4: "screen inline candidates").
+
+    Blocked and below-threshold sites are rejected on the ledger; the
+    rest come back in rank order.
+    """
+    program, config = stage.program, stage.config
+    candidates: List[RankedSite] = []
+    for site in sites:
+        blocker = inline_blocker(
+            program, site, config.cross_module, config.inline_recursive,
+            config.local_modules,
+        )
+        if blocker is not None:
+            stage.record("inline", site, "rejected", blocker)
+            continue
+        ranked = rank_site(site, stage.entry, config, stage.counts, stage.freq_cache)
+        if ranked.always_inline or ranked.benefit > config.min_inline_benefit:
+            candidates.append(ranked)
+        else:
+            stage.record(
+                "inline", site, "rejected", "benefit below threshold",
+                reason_class="benefit", benefit=ranked.benefit,
+            )
+    candidates.sort(key=lambda r: r.sort_key)
+    return candidates
+
+
+def perform_inlines(
+    stage: Stage,
+    accepted: List[RankedSite],
+    reason: str,
+    stop_after: Optional[int] = None,
+) -> int:
+    """Perform the accepted inlines bottom-up; returns how many landed.
+
+    Callees go before callers, so a callee's own accepted inlines land
+    before its body is copied upward.  ``reason`` is the ledger text of
+    an accepted inline.  Once the report reaches ``stop_after``
+    transforms the rest are rejected instead.
+    """
+    perform_rank = stage.perform_rank
+    ordered = sorted(
+        accepted,
+        key=lambda r: (perform_rank.get(r.site.caller.name, 0), -r.benefit),
+    )
+    report = stage.report
     performed = 0
-    touched: Set[str] = set()
-    mutated: Set[str] = set()
-    for index, item in enumerate(schedule):
-        if config.stop_after is not None and report.transform_count >= config.stop_after:
-            for later in schedule[index:]:
-                record_decision(
-                    obs, report, "inline", pass_number, later.ranked.site,
-                    "rejected", "stop-after limit reached",
-                    reason_class="budget", benefit=later.ranked.benefit,
+    for index, ranked in enumerate(ordered):
+        if stop_after is not None and report.transform_count >= stop_after:
+            for later in ordered[index:]:
+                stage.record(
+                    "inline", later.site, "rejected", "stop-after limit reached",
+                    reason_class="budget", benefit=later.benefit,
                 )
             break
-        caller = program.proc(item.caller)
+        site = ranked.site
+        caller = stage.program.proc(site.caller.name)
         if caller is None:
-            record_decision(
-                obs, report, "inline", pass_number, item.ranked.site,
-                "rejected", "caller deleted before transform",
+            stage.record(
+                "inline", site, "rejected", "caller deleted before transform",
                 reason_class="mechanical",
             )
             continue
-        with obs.tracer.span(
-            "inline:{}<-{}".format(item.caller, item.callee)
-            if obs.tracer.enabled else "",
-            cat="transform", site=item.site_id,
+        callee = site.callee.name  # type: ignore[union-attr]
+        with stage.span(
+            "inline:{}<-{}".format(caller.name, callee), site=site.instr.site_id
         ):
-            done = perform_inline(program, caller, item.site_id, report, pass_number)
+            done = perform_inline(
+                stage.program, caller, site.instr.site_id, report, stage.number
+            )
         if done:
             performed += 1
-            record_decision(
-                obs, report, "inline", pass_number, item.ranked.site,
-                "inlined", "accepted within staged budget",
-                reason_class="accepted", benefit=item.ranked.benefit,
+            stage.record(
+                "inline", site, "inlined", reason,
+                reason_class="accepted", benefit=ranked.benefit,
             )
-            touched.add(item.caller)
+            stage.touched.add(caller.name)
             # The callee's profile counts migrate to the inlined copy,
             # so both ends of the site count as mutated.
-            mutated.add(item.caller)
-            mutated.add(item.callee)
+            stage.mutated.add(caller.name)
+            stage.mutated.add(callee)
         else:
-            record_decision(
-                obs, report, "inline", pass_number, item.ranked.site,
-                "rejected", "call site vanished before transform",
+            stage.record(
+                "inline", site, "rejected", "call site vanished before transform",
                 reason_class="mechanical",
             )
-
-    # "optimize inlines and recalibrate"
-    if config.reoptimize:
-        for name in sorted(touched):
-            proc = program.proc(name)
-            if proc is not None:
-                optimize_proc(program, proc)
-    budget.recalibrate(program)
-    if manager is not None and mutated:
-        manager.invalidate_procs(mutated)
     return performed
 
 

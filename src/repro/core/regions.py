@@ -4,59 +4,68 @@ The paper's whole-program loop (Figure 2) walks every call site each
 pass, so compile time and peak memory scale with *program* size.
 Way & Pollock's region-based formulation inverts that: form hot
 regions from the profile, inline only what each region demands, and
-bound work by region size.  This module is that strategy:
+bound work by region size.  The transforms themselves are the global
+strategy's: both strategies call the same helpers —
+:func:`~.cloner.iter_clone_groups` (screen, spec, group, benefit),
+:func:`~.cloner.reusable_clone` / :func:`~.cloner.materialize_clone` /
+:func:`~.cloner.retarget_members`, :func:`~.inliner.screen_inline_sites`
+and :func:`~.inliner.perform_inlines` — through a
+:class:`~.stage.Stage` tagged with the region.  This module keeps only
+what differs:
 
-- :func:`form_regions` seeds regions at the hottest procedures (entry
-  count above a fraction of the hottest), marks each member's hot
-  blocks, widens the hot set along dominator / loop structure
-  (control-equivalent classes and natural-loop bodies), and grows the
-  region through its hottest interior call sites until a per-region
-  size cap — at most ``region_limit`` regions, so planner work is
-  bounded regardless of program size;
-- :func:`demand_stage` walks only region-interior call sites,
-  requesting inlines and clones from the existing legality / benefit /
-  budget machinery (``inline_blocker`` / ``rank_site`` /
-  ``perform_inline``, ``clone_blocker`` / ``make_clone_spec`` /
-  ``copy_into_new_proc``) under a :class:`RegionBudget` — the
-  region-local analogue of the global quadratic budget.
+- *site set*: :func:`form_regions` seeds regions at the hottest
+  procedures (entry count above a fraction of the hottest), marks each
+  member's hot blocks, widens the hot set along dominator / loop
+  structure (control-equivalent classes and natural-loop bodies), and
+  grows the region through its hottest interior call sites until a
+  per-region size cap — at most ``region_limit`` regions, so planner
+  work is bounded regardless of program size.  A region walks only its
+  hot interior, re-enumerated from the live IR after each iteration;
+- *budget model*: a :class:`RegionBudget` accepts each clone group as
+  it forms and each inline in benefit order, greedily, against the
+  region's own allowance (the global passes sort groups by benefit and
+  replay a staged schedule against the shared budget);
+- *rollback*: a guarded region failure rolls back only that region's
+  IR, decisions and analyses.
+
+The global-only behaviours stay in the global passes: ``stop_after``
+cut-offs and retargeting recursive sites inside a new clone.  Demand
+builds estimate clone benefit from aggregate counts only; a
+context-sensitive profile's per-caller counts are not consulted.
 
 Cold procedures are never block-analyzed, ranked, or copied; their
 memoized analyses are never invalidated (the manager's
 ``invalidate_region``).  Every ledger decision carries the region
-name, and a guarded region failure rolls back only that region's
-decisions and analyses.
+name.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..analysis.callgraph import CallGraph, CallSite
+from ..analysis.callgraph import CallGraph, CallSite, classify_site
 from ..analysis.dominators import control_equivalent_classes
-from ..analysis.freq import entry_counts, site_weight
+from ..analysis.freq import site_weight
 from ..analysis.loops import find_loops
+from ..analysis.manager import AnalysisManager
 from ..ir.instructions import Call
 from ..ir.program import Program
 from ..obs import NULL_OBSERVER
-from ..obs.ledger import record_decision
-from ..opt.pass_manager import default_pipeline, optimize_proc
-from .benefit import cached_block_freqs, rank_site
+from ..opt.pass_manager import default_pipeline
+from .benefit import cached_block_freqs
 from .budget import Budget
 from .cloner import (
     CloneDatabase,
     _address_taken,
-    _entry_count,
-    _retarget_site,
-    context_matches,
-    make_clone_spec,
-    param_usage_weights,
-    spec_key,
+    iter_clone_groups,
+    materialize_clone,
+    retarget_members,
+    reusable_clone,
 )
 from .config import HLOConfig
-from .inliner import GLUE_FIXED, GLUE_PER_ARG, perform_inline
-from .legality import clone_blocker, inline_blocker
+from .inliner import GLUE_FIXED, GLUE_PER_ARG, perform_inlines, screen_inline_sites
 from .report import HLOReport, PassTrace
-from .transplant import copy_into_new_proc, subtract_moved_counts, transfer_ratio
+from .stage import Stage
 
 SiteCounts = Dict[Tuple[str, int], int]
 
@@ -272,33 +281,7 @@ def _refresh_site(program: Program, site: CallSite) -> CallSite:
                     callee, site.category)
 
 
-def _classify_live(proc, instr, callee) -> str:
-    """Figure 5 category for a freshly enumerated site (no SCC pass:
-    only self-recursion is recognized, which is all the region screens
-    consult — blockers test INDIRECT/EXTERNAL and compare names)."""
-    from ..analysis.callgraph import (
-        CROSS_MODULE, EXTERNAL, INDIRECT, RECURSIVE, WITHIN_MODULE,
-    )
-    from ..ir.instructions import ICall
-
-    if isinstance(instr, ICall):
-        return INDIRECT
-    if callee is None:
-        return EXTERNAL
-    if callee.name == proc.name:
-        return RECURSIVE
-    if callee.module != proc.module:
-        return CROSS_MODULE
-    return WITHIN_MODULE
-
-
-def _live_region_sites(
-    program: Program,
-    region: Region,
-    config: HLOConfig,
-    entry: Dict[str, float],
-    freq_cache,
-) -> List[CallSite]:
+def _live_region_sites(stage: Stage, region: Region) -> List[CallSite]:
     """Re-enumerate the region's hot interior from the *current* IR.
 
     After an iteration transforms, the plan-time site list is stale:
@@ -306,13 +289,14 @@ def _live_region_sites(
     edges, and migrated profile counts shifted which blocks are hot.
     Work stays region-bounded — only member procedures are walked.
     """
+    program = stage.program
     sites: List[CallSite] = []
     for name in sorted(region.procs):
         proc = program.proc(name)
         if proc is None:
             continue
-        hot = _hot_blocks(proc, region.cut, entry.get(name, 0.0),
-                          config.use_profile, freq_cache)
+        hot = _hot_blocks(proc, region.cut, stage.entry.get(name, 0.0),
+                          stage.config.use_profile, stage.freq_cache)
         for block, index, instr in proc.call_sites():
             if block.label not in hot:
                 continue
@@ -321,7 +305,7 @@ def _live_region_sites(
                 callee = program.proc(instr.callee)
             sites.append(CallSite(
                 proc, block, index, instr, callee,
-                _classify_live(proc, instr, callee),
+                classify_site(proc, instr, callee),
             ))
     return sites
 
@@ -333,9 +317,8 @@ def demand_stage(
     report: HLOReport,
     database: CloneDatabase,
     site_counts: Optional[SiteCounts] = None,
-    manager=None,
+    manager: Optional[AnalysisManager] = None,
     obs=NULL_OBSERVER,
-    context_counts=None,
     guard=None,
     pipeline=None,
 ) -> int:
@@ -348,17 +331,12 @@ def demand_stage(
     stays warm (``AnalysisManager.invalidate_region``).  Returns the
     number of transforms performed.
     """
-    counts = site_counts if config.use_profile else None
-    if manager is not None:
-        graph = manager.callgraph()
-        entry = manager.entry_counts(counts)
-        freq_cache = manager.freq_cache()
-    else:
-        graph = CallGraph(program)
-        entry = entry_counts(program, graph, counts)
-        freq_cache = {}
-
-    regions = form_regions(program, config, graph, entry, freq_cache, counts)
+    if manager is None:
+        manager = AnalysisManager(program)
+    plan = Stage.from_manager(program, config, report, obs, 0, manager, site_counts)
+    freq_cache = plan.freq_cache
+    regions = form_regions(program, config, plan.graph, plan.entry, freq_cache,
+                           plan.counts)
     report.regions_formed = len(regions)
     address_taken = _address_taken(program)
 
@@ -373,16 +351,15 @@ def demand_stage(
     sizes = {proc.name: proc.size() for proc in program.all_procs()}
     for region in regions:
         rbudget = RegionBudget(region.cost, config.region_budget_percent)
+        stage = plan.for_region(region.index, region.name)
         cost_before = budget.current
 
-        def run_region(region=region, rbudget=rbudget):
-            return _optimize_region(
-                program, region, rbudget, graph, config, report, database,
-                entry, freq_cache, counts, obs, context_counts, address_taken,
-            )
+        def run_region(region=region, rbudget=rbudget, stage=stage):
+            return _optimize_region(stage, region, rbudget, database,
+                                    address_taken)
 
         if guard is None:
-            performed, mutated = run_region()
+            performed = run_region()
         else:
             report_mark = report.mark()
             db_mark = database.mark()
@@ -415,24 +392,20 @@ def demand_stage(
                 obs.ledger.truncate_region(region.name)
                 freq_cache.clear()
                 freq_cache.update(freq_mark)
-                if manager is not None:
-                    manager.invalidate_region(region.procs)
+                manager.invalidate_region(region.procs)
                 # No budget resync needed: only the *region* budget is
                 # charged while a region runs, and the guard restored
                 # the IR, so the shared budget still matches the program.
                 continue
-            performed, mutated = result if result is not None else (0, set())
+            performed = result if result is not None else 0
 
         performed_total += performed
+        mutated = stage.mutated
         if mutated:
             all_mutated |= mutated
             # One region's mutation invalidates only its own memos; the
             # rest of the pool stays warm for the remaining regions.
-            if manager is not None:
-                manager.invalidate_region(mutated)
-            else:
-                for name in mutated:
-                    freq_cache.pop(name, None)
+            manager.invalidate_region(mutated)
         if rbudget.ran_out:
             report.region_budget_exhausted += 1
         # Incremental shared-budget accounting: the program-cost delta
@@ -458,284 +431,102 @@ def demand_stage(
     # The plan-time graph / entry snapshot is now stale wherever the
     # regions transformed; later consumers (unreachable sweep, output
     # stage) need fresh program-level analyses.
-    if manager is not None and all_mutated:
+    if all_mutated:
         manager.invalidate_procs(all_mutated)
     return performed_total
 
 
 def _optimize_region(
-    program: Program,
+    stage: Stage,
     region: Region,
     rbudget: RegionBudget,
-    graph: CallGraph,
-    config: HLOConfig,
-    report: HLOReport,
     database: CloneDatabase,
-    entry: Dict[str, float],
-    freq_cache,
-    counts: Optional[SiteCounts],
-    obs,
-    context_counts,
     address_taken: Set[str],
-) -> Tuple[int, Set[str]]:
-    """Optimize one region to a fixpoint; returns (performed, mutated).
+) -> int:
+    """Optimize one region to a fixpoint; returns the transform count.
 
-    Mirrors the global loop's clone/inline alternation, but region-
-    scoped: each iteration clones then inlines the region's current hot
-    interior, re-optimizes what it touched, drops the touched members'
-    frequency memos, and re-enumerates — an inlined body's own call
-    sites become the next iteration's demand.  Stops after
-    ``config.pass_limit`` iterations or the first iteration that
-    performs nothing.
+    The procedures it mutated are left in ``stage.mutated``.  Mirrors
+    the global loop's clone/inline alternation, but region-scoped: each
+    iteration clones then inlines the region's current hot interior,
+    re-optimizes what it touched, drops the touched members' frequency
+    memos, and re-enumerates — an inlined body's own call sites become
+    the next iteration's demand.  Stops after ``config.pass_limit``
+    iterations or the first iteration that performs nothing.
     """
+    config = stage.config
     performed = 0
-    mutated: Set[str] = set()
     sites = region.sites
     for _iteration in range(max(1, config.pass_limit)):
         round_performed = 0
-        touched: Set[str] = set()
         if config.enable_cloning:
-            round_performed += _clone_in_region(
-                program, region, rbudget, sites, graph, config, report,
-                database, entry, freq_cache, counts, obs, address_taken,
-                mutated, touched,
+            round_performed += _clone_region_sites(
+                stage, rbudget, sites, database, address_taken
             )
         if config.enable_inlining:
-            round_performed += _inline_in_region(
-                program, region, rbudget, sites, graph, config, report,
-                entry, freq_cache, counts, obs, mutated, touched,
-            )
-        if config.reoptimize:
-            for name in sorted(touched):
-                proc = program.proc(name)
-                if proc is not None:
-                    optimize_proc(program, proc)
+            round_performed += _inline_region_sites(stage, region, rbudget, sites)
+        stage.reoptimize_touched()
         performed += round_performed
         if round_performed == 0:
             break
         # Transformed members (and callees whose counts migrated) have
         # stale frequency memos; drop just those before re-enumerating.
-        for name in mutated:
-            freq_cache.pop(name, None)
-        sites = _live_region_sites(program, region, config, entry, freq_cache)
-    return performed, mutated
+        for name in stage.mutated:
+            stage.freq_cache.pop(name, None)
+        sites = _live_region_sites(stage, region)
+    return performed
 
 
-def _clone_in_region(
-    program: Program,
-    region: Region,
+def _clone_region_sites(
+    stage: Stage,
     rbudget: RegionBudget,
     sites: List[CallSite],
-    graph: CallGraph,
-    config: HLOConfig,
-    report: HLOReport,
     database: CloneDatabase,
-    entry: Dict[str, float],
-    freq_cache,
-    counts: Optional[SiteCounts],
-    obs,
     address_taken: Set[str],
-    mutated: Set[str],
-    touched: Set[str],
 ) -> int:
-    """Region-scoped cloning: group only region-interior sites.
+    """Clone groups seeded and joined only by region-interior sites,
+    each accepted greedily against the region budget as it forms.
 
-    Same screens, spec intersection, and benefit model as the global
-    cloner, but candidate sites and group members come from the
-    region's hot interior — a cold caller of the same callee is never
-    visited, so ``deletes_clonee`` (checked against the *real* incoming
-    edge set) is simply rarer here.
+    A cold caller of the same callee is never visited, so
+    ``deletes_clonee`` (checked against the *real* incoming edge set)
+    is simply rarer here than in the global cloner.
     """
-    usage_cache: Dict[str, List[float]] = {}
-    region_keys = {s.key for s in sites}
-    grouped: Set[Tuple[str, int]] = set()
+    interior = {s.key for s in sites}
     replaced = 0
-    for site in sites:
-        if site.key in grouped:
-            continue
-        blocker = clone_blocker(
-            program, site, config.cross_module, config.local_modules
-        )
-        if blocker is not None:
-            record_decision(
-                obs, report, "clone", region.index, site, "rejected", blocker,
-                region=region.name,
-            )
-            continue
-        callee = site.callee
-        assert callee is not None
-        usage = usage_cache.get(callee.name)
-        if usage is None:
-            usage = param_usage_weights(callee, config, freq_cache)
-            usage_cache[callee.name] = usage
-        spec = make_clone_spec(site, usage)
-        if not spec:
-            record_decision(
-                obs, report, "clone", region.index, site, "rejected",
-                "no caller-supplied constant meets an interesting parameter",
-                reason_class="benefit", region=region.name,
-            )
-            continue
-
-        members = [site]
-        if config.clone_groups:
-            for other in graph.callers_of(callee.name):
-                if other.key == site.key or other.key in grouped:
-                    continue
-                if other.key not in region_keys:
-                    continue  # demand: never visit cold callers
-                if clone_blocker(
-                    program, other, config.cross_module, config.local_modules
-                ) is not None:
-                    continue
-                if context_matches(other.instr, spec):  # type: ignore[arg-type]
-                    members.append(other)
-
-        value = sum(usage[pos] for pos in spec)
-        benefit = sum(
-            site_weight(m, entry, counts, config.use_profile) * value
-            for m in members
-        )
-        if benefit <= config.min_clone_benefit:
-            record_decision(
-                obs, report, "clone", region.index, site, "rejected",
-                "benefit below threshold", reason_class="benefit",
-                benefit=benefit, region=region.name,
-            )
-            continue
-
-        incoming = graph.callers_of(callee.name)
-        member_keys = {m.key for m in members}
-        covers_all = all(s.key in member_keys for s in incoming)
-        deletes = (
-            covers_all
-            and callee.name not in address_taken
-            and callee.name != "main"
-        )
-
-        key = spec_key(callee.name, spec)
-        clone_name = database.lookup(key) if config.clone_database else None
-        if clone_name is not None and program.proc(clone_name) is None:
-            clone_name = None
+    for group in iter_clone_groups(stage, sites, address_taken, interior):
+        clone_name = reusable_clone(stage, database, group)
         cost = 0.0 if clone_name is not None else Budget.clone_delta(
-            callee.size(), deletes
+            group.callee.size(), group.deletes_clonee
         )
         if not rbudget.fits(cost):
-            for member in members:
-                record_decision(
-                    obs, report, "clone", region.index, member, "rejected",
-                    "region budget exhausted", reason_class="budget",
-                    benefit=benefit, region=region.name,
+            for member in group.sites:
+                stage.record(
+                    "clone", member, "rejected", "region budget exhausted",
+                    reason_class="budget", benefit=group.benefit,
                 )
-                grouped.add(member.key)
             continue
-
         if clone_name is None:
-            clone_name = database.fresh_name(program, callee.name)
-            group_count = None
-            if counts is not None:
-                total, seen = 0, False
-                for member in members:
-                    if member.key in counts:
-                        total += counts[member.key]
-                        seen = True
-                group_count = total if seen else None
-            ratio = transfer_ratio(group_count, _entry_count(callee))
-            with obs.tracer.span(
-                "clone:{}".format(clone_name) if obs.tracer.enabled else "",
-                cat="transform", clonee=callee.name, region=region.name,
-            ):
-                clone = copy_into_new_proc(
-                    program,
-                    callee,
-                    program.modules[callee.module],
-                    clone_name,
-                    spec,
-                    ratio,
-                    on_promote=report.record_promotion,
-                )
-                program.modules[callee.module].add_proc(clone)
-                subtract_moved_counts(callee, ratio)
-                mutated.add(callee.name)
-                mutated.add(clone_name)
-                report.clones += 1
-                if config.clone_database:
-                    database.record(key, clone_name)
-                touched.add(clone_name)
-                if config.reoptimize:
-                    optimize_proc(program, clone)
+            clone_name = materialize_clone(stage, database, group, stage.counts)
             rbudget.charge(cost)
-
-        for member in members:
-            grouped.add(member.key)
-            if _retarget_site(member, spec, clone_name):
-                replaced += 1
-                record_decision(
-                    obs, report, "clone", region.index, member, "cloned",
-                    "call site retargeted to clone", reason_class="accepted",
-                    benefit=benefit, region=region.name,
-                )
-                report.record_clone_replacement(
-                    region.index, member.caller.name, clone_name,
-                    member.instr.site_id, callee.name,
-                )
-                touched.add(member.caller.name)
-                mutated.add(member.caller.name)
-            else:
-                record_decision(
-                    obs, report, "clone", region.index, member, "rejected",
-                    "call site changed before retargeting",
-                    reason_class="mechanical", region=region.name,
-                )
+        replaced += retarget_members(stage, group, clone_name)
     return replaced
 
 
-def _inline_in_region(
-    program: Program,
+def _inline_region_sites(
+    stage: Stage,
     region: Region,
     rbudget: RegionBudget,
     sites: List[CallSite],
-    graph: CallGraph,
-    config: HLOConfig,
-    report: HLOReport,
-    entry: Dict[str, float],
-    freq_cache,
-    counts: Optional[SiteCounts],
-    obs,
-    mutated: Set[str],
-    touched: Set[str],
 ) -> int:
-    """Region-scoped inlining: screen, rank, and perform hot sites.
+    """Inline hot region sites accepted greedily, in benefit order,
+    against the region budget.
 
-    Greedy acceptance in benefit order against the region budget, using
-    the same per-transform delta model as the global schedule
-    (``Budget.inline_delta`` over projected member sizes); performed
-    bottom-up so a callee's accepted inlines land before its body is
-    copied upward.
+    Uses the same per-transform delta model as the global schedule
+    (``Budget.inline_delta`` over projected member sizes).
     """
-    candidates = []
-    for stale in sites:
-        site = _refresh_site(program, stale)
-        blocker = inline_blocker(
-            program, site, config.cross_module, config.inline_recursive,
-            config.local_modules,
-        )
-        if blocker is not None:
-            record_decision(
-                obs, report, "inline", region.index, site, "rejected", blocker,
-                region=region.name,
-            )
-            continue
-        ranked = rank_site(site, entry, config, counts, freq_cache)
-        if ranked.always_inline or ranked.benefit > config.min_inline_benefit:
-            candidates.append(ranked)
-        else:
-            record_decision(
-                obs, report, "inline", region.index, site, "rejected",
-                "benefit below threshold", reason_class="benefit",
-                benefit=ranked.benefit, region=region.name,
-            )
-    candidates.sort(key=lambda r: r.sort_key)
+    program = stage.program
+    candidates = screen_inline_sites(
+        stage, (_refresh_site(program, site) for site in sites)
+    )
 
     projected: Dict[str, int] = {}
     for name in region.procs:
@@ -759,52 +550,11 @@ def _inline_in_region(
                 rbudget.charge(delta)
             projected[caller] = caller_size + callee_size + glue
         else:
-            record_decision(
-                obs, report, "inline", region.index, ranked.site, "rejected",
-                "region budget exhausted", reason_class="budget",
-                benefit=ranked.benefit, region=region.name,
+            stage.record(
+                "inline", ranked.site, "rejected", "region budget exhausted",
+                reason_class="budget", benefit=ranked.benefit,
             )
 
     if not accepted:
         return 0
-
-    perform_rank = {name: i for i, name in enumerate(graph.bottom_up_order())}
-    accepted.sort(key=lambda r: (
-        perform_rank.get(r.site.caller.name, 0), -r.benefit
-    ))
-    performed = 0
-    for ranked in accepted:
-        caller = program.proc(ranked.site.caller.name)
-        if caller is None:
-            record_decision(
-                obs, report, "inline", region.index, ranked.site, "rejected",
-                "caller deleted before transform", reason_class="mechanical",
-                region=region.name,
-            )
-            continue
-        callee_name = ranked.site.callee.name  # type: ignore[union-attr]
-        with obs.tracer.span(
-            "inline:{}<-{}".format(caller.name, callee_name)
-            if obs.tracer.enabled else "",
-            cat="transform", site=ranked.site.instr.site_id, region=region.name,
-        ):
-            done = perform_inline(
-                program, caller, ranked.site.instr.site_id, report, region.index
-            )
-        if done:
-            performed += 1
-            record_decision(
-                obs, report, "inline", region.index, ranked.site, "inlined",
-                "accepted within region budget", reason_class="accepted",
-                benefit=ranked.benefit, region=region.name,
-            )
-            touched.add(caller.name)
-            mutated.add(caller.name)
-            mutated.add(callee_name)
-        else:
-            record_decision(
-                obs, report, "inline", region.index, ranked.site, "rejected",
-                "call site vanished before transform",
-                reason_class="mechanical", region=region.name,
-            )
-    return performed
+    return perform_inlines(stage, accepted, "accepted within region budget")

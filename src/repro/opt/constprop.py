@@ -14,9 +14,9 @@ this pass folds the parameter tests downstream.
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Dict, Sequence, Union
 
-from ..ir.instructions import Alloca, BinOp, Branch, Call, ICall, Jump, Load, Mov, UnOp
+from ..ir.instructions import BinOp, Branch, ICall, Instr, Jump, Mov, UnOp
 from ..ir.ops import EvalError, eval_binop, eval_unop
 from ..ir.procedure import Procedure
 from ..ir.program import Program
@@ -39,8 +39,8 @@ def _meet(a: Lattice, b: Lattice) -> Lattice:
     return a if a == b else None
 
 
-def _transfer(block, state: Dict[str, Lattice]) -> Dict[str, Lattice]:
-    """Apply one block's instructions to a copy of ``state``."""
+def _transfer(instrs: Sequence[Instr], state: Dict[str, Lattice]) -> Dict[str, Lattice]:
+    """Apply ``instrs`` in order to a copy of ``state``."""
     out = dict(state)
 
     def value_of(op: Operand) -> Lattice:
@@ -48,7 +48,7 @@ def _transfer(block, state: Dict[str, Lattice]) -> Dict[str, Lattice]:
             return out.get(op.name, _UNDEF)
         return op  # Imm / FuncRef / GlobalRef are constants
 
-    for instr in block.instrs:
+    for instr in instrs:
         cls = instr.__class__
         if cls is Mov:
             out[instr.dest.name] = value_of(instr.src)
@@ -139,7 +139,7 @@ def constant_propagation(program: Program, proc: Procedure) -> bool:
             if ins.get(label) != in_state:
                 ins[label] = in_state
                 changed = True
-            out_state = _transfer(proc.blocks[label], in_state)
+            out_state = _transfer(proc.blocks[label].instrs, in_state)
             if outs.get(label) != out_state:
                 outs[label] = out_state
                 changed = True
@@ -192,14 +192,7 @@ def constant_propagation(program: Program, proc: Procedure) -> bool:
                 rewritten = True
 
             # Track state forward within the block for subsequent instrs.
-            state = _transfer_one(replacement, state)
+            state = _transfer([replacement], state)
             new_instrs.append(replacement)
         block.instrs = new_instrs
     return rewritten
-
-
-def _transfer_one(instr, state: Dict[str, Lattice]) -> Dict[str, Lattice]:
-    class _OneBlock:
-        instrs = [instr]
-
-    return _transfer(_OneBlock, state)

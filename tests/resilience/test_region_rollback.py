@@ -55,10 +55,12 @@ class CrashOnCaller:
 
 
 def _crashing_build(monkeypatch, target):
-    from repro.core import regions
+    # The demand strategy inlines through the inliner's shared perform
+    # loop, so the fault is injected there.
+    from repro.core import inliner
 
-    crasher = CrashOnCaller(regions.perform_inline, target)
-    monkeypatch.setattr(regions, "perform_inline", crasher)
+    crasher = CrashOnCaller(inliner.perform_inline, target)
+    monkeypatch.setattr(inliner, "perform_inline", crasher)
     program = compile_program(TWO_CHAINS)
     ledger = InliningLedger()
     report = run_hlo(
@@ -102,14 +104,14 @@ def test_quarantined_demand_stage_still_ships_a_build(monkeypatch):
     # Crash *every* region (target main's callers too): once the stage
     # hits max_failures it is quarantined, and the build must complete
     # as a no-transform HLO run with behavior intact.
-    from repro.core import regions
+    from repro.core import inliner
 
     baseline = run_program(compile_program(TWO_CHAINS)).behavior()
 
     def always_crash(program, caller, *args, **kwargs):
         raise RuntimeError("injected: no inline survives")
 
-    monkeypatch.setattr(regions, "perform_inline", always_crash)
+    monkeypatch.setattr(inliner, "perform_inline", always_crash)
     program = compile_program(TWO_CHAINS)
     report = run_hlo(program, HLOConfig(**CONFIG_KWARGS))
 
