@@ -255,6 +255,7 @@ class _GenCompiler:
             self.f_call,
             self.f_ret,
             self.f_mem,
+            _runs,  # always False: codegen delivers per instruction
             self.collect_block,
         ) = mode
         self.fire_boundary = self.f_instr or self.f_batch
@@ -1262,7 +1263,7 @@ def execute(interp, proc: Procedure, args: List[Any]):
         cache = CodegenCache()
         program._codegen_cache = cache
     cache.check_globals(program)
-    mode = sink_mode(interp.sink) + (bool(interp.collect_block_counts),)
+    mode = sink_mode(interp.sink, runs=False) + (bool(interp.collect_block_counts),)
     st = _ExecState(interp, cache, mode)
     compiled0 = cache.plans_compiled
     hits0 = cache.cache_hits
@@ -1306,7 +1307,7 @@ def emitted_source(program, proc_name: str, sink=None, collect_block=False) -> s
         cache = CodegenCache()
         program._codegen_cache = cache
     cache.check_globals(program)
-    mode = sink_mode(sink) + (bool(collect_block),)
+    mode = sink_mode(sink, runs=False) + (bool(collect_block),)
     proc = interp._procs[proc_name]
     return cache.get_plan(proc, mode, interp._global_addrs).source
 

@@ -19,8 +19,11 @@ of bound Python closures with all of that decoding done ahead of time
   dict lookup leaves the inner loop entirely,
 - sink capability flags (:class:`~repro.interp.events.EventSink`) are
   burned into the compiled closures: modes that need no callback carry
-  no callback code at all, and ``batch_instr`` sinks get their
-  ``on_instr`` events replayed one segment at a time.
+  no callback code at all, ``batch_instr`` sinks get their
+  ``on_instr`` events replayed one segment at a time, and
+  ``instr_runs`` sinks get one ``on_run`` per segment plus its boundary
+  instruction (the :class:`~repro.interp.events.Run` is built here, at
+  plan-compile time; loads and stores log their addresses for it).
 
 Plans are cached on the :class:`~repro.ir.Program` (keyed by procedure
 name and sink-capability mode) and validated against a procedure
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
+from operator import length_hint
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..ir.instructions import (
@@ -61,6 +65,7 @@ from ..ir.printer import print_proc
 from ..ir.procedure import ATTR_VARARGS, Procedure
 from ..ir.values import FuncRef, GlobalRef, Imm, Reg
 from .errors import ExecError, StepLimitExceeded
+from .events import Run
 from .memory import CodePtr
 
 # interpreter.py never imports this module at top level (the fast path
@@ -92,20 +97,27 @@ def _fingerprint(proc: Procedure) -> str:
     return hashlib.sha256(print_proc(proc).encode("utf-8")).hexdigest()
 
 
-def sink_mode(sink) -> Tuple[bool, bool, bool, bool, bool, bool]:
+def sink_mode(sink, runs: bool = True) -> Tuple[bool, bool, bool, bool, bool, bool, bool]:
     """The capability mode tuple a plan is specialized (and keyed) on:
-    ``(exact_instr, batch_instr, branch, call, ret, mem)``."""
+    ``(exact_instr, batch_instr, branch, call, ret, mem, runs)``.
+
+    ``runs`` says whether the engine can deliver ``on_run``; an engine
+    that cannot passes False, and an ``instr_runs`` sink then gets exact
+    per-instruction delivery.  In run mode ``branch`` is off: the run's
+    delivery carries the branch outcome."""
     if sink is None:
-        return (False, False, False, False, False, False)
+        return (False, False, False, False, False, False, False)
     needs_instr = bool(sink.needs_instr)
-    batch = needs_instr and bool(sink.batch_instr)
+    run = runs and needs_instr and bool(sink.instr_runs)
+    batch = needs_instr and not run and bool(sink.batch_instr)
     return (
-        needs_instr and not batch,
+        needs_instr and not batch and not run,
         batch,
-        bool(sink.needs_branch),
+        bool(sink.needs_branch) and not run,
         bool(sink.needs_call),
         bool(sink.needs_return),
         bool(sink.needs_mem),
+        run,
     )
 
 
@@ -398,11 +410,14 @@ def _replay(st, frame, ops, events, fire_instr):
     """Exact per-instruction execution of a segment whose batched step
     check found the limit inside it.  Mirrors the reference loop: bump,
     check, (on_instr), execute — so the raise position and the event
-    stream are identical to ``engine="reference"``."""
+    stream are identical to ``engine="reference"``.  In run mode each
+    instruction is delivered as a run of one once it has executed (or
+    trapped)."""
     regs = frame.regs
     steps = st.steps
     max_steps = st.max_steps
     sink = st.sink
+    runs = st.mode[6]
     i = 0
     try:
         for op in ops:
@@ -417,7 +432,13 @@ def _replay(st, frame, ops, events, fire_instr):
                 )
             if fire_instr:
                 sink.on_instr(ev[0], ev[1], ev[2], ev[3])
-            op(st, regs)
+            if runs:
+                try:
+                    op(st, regs)
+                finally:
+                    _deliver_run(st, Run(ev[0], ev[1], ev[2], 1))
+            else:
+                op(st, regs)
             i += 1
     finally:
         st.steps = steps
@@ -450,6 +471,45 @@ def _batch_firer(events):
     return w
 
 
+def _deliver_run(st, run):
+    addrs = st.addrs
+    st.sink.on_run(run, addrs)
+    addrs.clear()
+
+
+def _run_firer(run, ops, cond=None):
+    """Run mode: a pseudo-op that executes a run's segment ``ops`` and
+    then delivers the whole run in one ``on_run`` call.  ``cond`` is the
+    ``(slot, const)`` of the branch ending the run, peeked for ``taken``
+    (an unset condition delivers ``None``; the branch part then traps).
+    A trap inside the segment first delivers the run truncated after the
+    faulting instruction, as the reference engine's ``on_instr`` comes
+    before the instruction executes."""
+    n = len(ops)
+    cs, cc = cond if cond is not None else (-1, None)
+    has_cond = cond is not None
+
+    def w(st, regs, _ops=ops, _run=run, _n=n, _cs=cs, _cc=cc, _hc=has_cond):
+        it = iter(_ops)
+        try:
+            for op in it:
+                op(st, regs)
+        except BaseException:
+            _deliver_run(
+                st, Run(_run.proc, _run.label, _run.start, _n - length_hint(it))
+            )
+            raise
+        addrs = st.addrs
+        if _hc:
+            c = regs[_cs] if _cs >= 0 else _cc
+            st.sink.on_run(_run, addrs, None if c is _UNSET else bool(c))
+        else:
+            st.sink.on_run(_run, addrs)
+        addrs.clear()
+
+    return w
+
+
 def _seg_overflow(st, frame, ops, events, fire_instr, pn, lb, ix):
     """The batched step check of a fused segment+boundary part found the
     limit.  Replay the segment exactly (raising at the precise inner
@@ -474,7 +534,15 @@ class _PlanCompiler:
         self.proc = proc
         self.procname = proc.name
         self.mode = mode
-        self.f_instr, self.f_batch, self.f_branch, self.f_call, self.f_ret, self.f_mem = mode
+        (
+            self.f_instr,
+            self.f_batch,
+            self.f_branch,
+            self.f_call,
+            self.f_ret,
+            self.f_mem,
+            self.f_runs,
+        ) = mode
         # Terminators and calls deliver their own on_instr inline in
         # both the exact and the batched mode.
         self.fire_boundary = self.f_instr or self.f_batch
@@ -610,7 +678,20 @@ class _PlanCompiler:
             if cls is Load:
                 d = self.slots[instr.dest.name]
                 s, c, n = self._rop(instr.addr)
-                if self.f_mem:
+                if self.f_mem and self.f_runs:
+
+                    def mo(st, regs, _d=d, _s=s, _c=c):
+                        a = regs[_s] if _s >= 0 else _c
+                        if a is _UNSET:
+                            _unset(n, pn)
+                        mem = st.memory
+                        if type(a) is int and a >= 0:
+                            regs[_d] = mem.cells.get(a, 0)
+                        else:
+                            regs[_d] = mem._load_slow(a)
+                        st.addrs.append(a)
+
+                elif self.f_mem:
 
                     def mo(st, regs, _d=d, _s=s, _c=c):
                         a = regs[_s] if _s >= 0 else _c
@@ -642,6 +723,23 @@ class _PlanCompiler:
                 sa, ca, na = self._rop(instr.addr)
                 sv, cv, nv = self._rop(instr.value)
                 fire_mem = self.f_mem
+                if fire_mem and self.f_runs:
+
+                    def mo(st, regs, _sa=sa, _ca=ca, _sv=sv, _cv=cv):
+                        a = regs[_sa] if _sa >= 0 else _ca
+                        if a is _UNSET:
+                            _unset(na, pn)
+                        v = regs[_sv] if _sv >= 0 else _cv
+                        if v is _UNSET:
+                            _unset(nv, pn)
+                        mem = st.memory
+                        if type(a) is int and a >= 0:
+                            mem.cells[a] = v
+                        else:
+                            mem._store_slow(a, v)
+                        st.addrs.append(a)
+
+                    return mo
 
                 def mo(st, regs, _sa=sa, _ca=ca, _sv=sv, _cv=cv):
                     a = regs[_sa] if _sa >= 0 else _ca
@@ -738,6 +836,18 @@ class _PlanCompiler:
                     op(st, regs)
 
             return part
+        if self.f_runs:
+            proc, label, start = events[0][0], events[0][1], events[0][2]
+            run_op = _run_firer(Run(proc, label, start, k), ops)
+
+            def part(st, frame, _w=run_op, _ops=ops, _ev=events, _k=k):
+                ns = st.steps + _k
+                if ns > st.max_steps:
+                    return _replay(st, frame, _ops, _ev, False)
+                st.steps = ns
+                _w(st, frame.regs)
+
+            return part
 
         if k == 1:
             op0 = ops[0]
@@ -782,19 +892,24 @@ class _PlanCompiler:
             self.missing[label] = pb
         return pb
 
-    def _seg_bundle(self, seg_ops, seg_events):
+    def _seg_bundle(self, seg_ops, seg_events, label, idx, jump=False, cond=None):
         """Freeze the pending straight-line segment for fusion into the
-        boundary part that follows it.  Returns ``(raw, events, xops,
-        kk)``: ``xops`` is what the fused fast path iterates (instr
-        event delivery pre-woven in for sink modes), ``raw``/``events``
-        feed the exact replay slow path, and ``kk`` is the batched step
-        count — the segment plus the boundary instruction itself."""
+        boundary part at ``label``/``idx`` that follows it.  Returns
+        ``(raw, events, xops, kk)``: ``xops`` is what the fused fast path
+        iterates (instr event delivery pre-woven in for sink modes; in
+        run mode one pseudo-op that runs the segment and delivers the
+        run, see _run_firer), ``raw``/``events`` feed the exact replay
+        slow path, and ``kk`` is the batched step count — the segment
+        plus the boundary instruction itself."""
         raw = tuple(seg_ops)
         events = tuple(seg_events)
         if self.f_instr:
             xops = tuple(_wrap_instr_op(op, ev) for op, ev in zip(raw, events))
         elif self.f_batch and raw:
             xops = (_batch_firer(events),) + raw
+        elif self.f_runs:
+            run = Run(self.proc, label, idx - len(raw), len(raw) + 1, jump)
+            xops = (_run_firer(run, raw, cond),)
         else:
             xops = raw
         return raw, events, xops, len(raw) + 1
@@ -806,7 +921,7 @@ class _PlanCompiler:
         fire_i = self.fire_boundary
         fire_b = self.f_branch
         tlabel = instr.target
-        raw, evs, xops, kk = self._seg_bundle(seg_ops, seg_events)
+        raw, evs, xops, kk = self._seg_bundle(seg_ops, seg_events, label, idx, jump=True)
 
         if not fire_i and not fire_b:
             if not xops:
@@ -864,7 +979,9 @@ class _PlanCompiler:
         ev = (self.proc, label, idx, instr)
         fire_i = self.fire_boundary
         fire_b = self.f_branch
-        raw, evs, xops, kk = self._seg_bundle(seg_ops, seg_events)
+        raw, evs, xops, kk = self._seg_bundle(
+            seg_ops, seg_events, label, idx, cond=(cs, cc)
+        )
 
         if not fire_i and not fire_b:
             if not xops:
@@ -937,7 +1054,7 @@ class _PlanCompiler:
         ev = (self.proc, label, idx, instr)
         fire_i = self.fire_boundary
         fire_r = self.f_ret
-        raw, evs, xops, kk = self._seg_bundle(seg_ops, seg_events)
+        raw, evs, xops, kk = self._seg_bundle(seg_ops, seg_events, label, idx)
 
         def part(st, frame, _vs=vs, _vc=vc, _hv=has_value, _x=xops, _kk=kk):
             ns = st.steps + _kk
@@ -993,7 +1110,7 @@ class _PlanCompiler:
         ev = (proc, label, idx, instr)
         fire_i = self.fire_boundary
         fire_c = self.f_call
-        raw, evs, xops, kk = self._seg_bundle(seg_ops, seg_events)
+        raw, evs, xops, kk = self._seg_bundle(seg_ops, seg_events, label, idx)
 
         def part(st, frame, _fs=fs, _fc=fc, _as=argspec, _ds=dest_slot, _x=xops, _kk=kk):
             ns = st.steps + _kk
@@ -1083,7 +1200,7 @@ class _PlanCompiler:
         ev = (self.proc, label, idx, instr)
         fire_i = self.fire_boundary
         walk = _raise_walk(self._raising_specs(instr), pn, label, idx)
-        raw, evs, xops, kk = self._seg_bundle(seg_ops, seg_events)
+        raw, evs, xops, kk = self._seg_bundle(seg_ops, seg_events, label, idx)
 
         def part(st, frame, _x=xops, _kk=kk):
             ns = st.steps + _kk
@@ -1194,6 +1311,7 @@ class _ExecState:
         "link",
         "depth0",
         "ret_value",
+        "addrs",
     )
 
     def __init__(self, interp, cache: PlanCache, mode) -> None:
@@ -1217,6 +1335,8 @@ class _ExecState:
         self.link: Dict[str, Optional[ExecPlan]] = {}
         self.depth0 = len(self.frames)
         self.ret_value = None
+        # Run mode: word addresses of the current run's loads and stores.
+        self.addrs: List[int] = []
 
     def resolve(self, name: str) -> Optional[ExecPlan]:
         """Resolve a callee name to a (validated) plan, once per run."""

@@ -10,11 +10,12 @@ Capability negotiation
 ----------------------
 
 A sink *declares* which callbacks it consumes through the class-level
-``needs_*`` flags.  Both execution engines read the flags once per run
-and skip the corresponding callback entirely when a sink does not need
-it, so a sink that only counts calls pays nothing per instruction.  The
-defaults are conservative (everything on): a sink written before the
-flags existed keeps exact semantics.
+``needs_*`` flags.  All three execution engines (``reference``,
+``fast`` and ``codegen``) read the flags once per run and skip the
+corresponding callback entirely when a sink does not need it, so a sink
+that only counts calls pays nothing per instruction.  The defaults are
+conservative (everything on): a sink written before the flags existed
+keeps exact semantics.
 
 ``batch_instr`` is a stronger opt-in for order-insensitive sinks: the
 pre-decoded engine may *replay* a straight-line run's ``on_instr``
@@ -24,15 +25,50 @@ terminating program is identical (only ``on_instr`` events occur inside
 a straight-line run, and they are replayed in order before the run's
 call/branch event fires); a sink that inspects interpreter side effects
 between events must leave it off.
+
+``instr_runs`` lets an exact sink take a whole straight-line
+:class:`Run` per callback.  The fast engine then executes a run's
+instructions, logging each load/store word address in order, and calls
+``on_run(run, addrs, taken)`` once in place of the run's ``on_instr``,
+``on_mem`` and ``on_branch`` events.  A sink can rebuild the exact
+per-instruction order from the run because nothing else happens inside
+a run: the memory events belong to known instruction positions, and
+the branch (if the run ends in one) comes last.  A run that traps
+midway is delivered truncated, up to and including the faulting
+instruction, before the trap propagates; a step-limited run is
+delivered one instruction at a time.  The ``reference`` and
+``codegen`` engines keep per-instruction delivery, so a run sink must
+also implement ``on_instr``/``on_mem``/``on_branch``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..ir.instructions import Instr
     from ..ir.procedure import Procedure
+
+
+class Run:
+    """A straight-line instruction run delivered by ``on_run``.
+
+    ``count`` instructions of block ``label`` starting at ``start``.
+    ``jump`` marks a run ending in an unconditional jump, which the
+    run's delivery stands in for; a run ending in a conditional branch
+    carries its outcome in ``on_run``'s ``taken`` argument instead.
+    """
+
+    __slots__ = ("proc", "label", "start", "count", "jump")
+
+    def __init__(
+        self, proc: "Procedure", label: str, start: int, count: int, jump: bool = False
+    ) -> None:
+        self.proc = proc
+        self.label = label
+        self.start = start
+        self.count = count
+        self.jump = jump
 
 
 class EventSink:
@@ -51,6 +87,9 @@ class EventSink:
     # Opt-in: on_instr events for a straight-line run may be delivered
     # as one in-order batch at the start of the run (fast engine only).
     batch_instr = False
+    # Opt-in: on_instr/on_mem/on_branch for a straight-line run may be
+    # delivered as one on_run call after the run (fast engine only).
+    instr_runs = False
 
     def on_instr(self, proc: "Procedure", label: str, index: int, instr: "Instr") -> None:
         """An IR instruction was executed."""
@@ -74,6 +113,15 @@ class EventSink:
 
     def on_mem(self, addr: int, is_store: bool) -> None:
         """A data memory access at word address ``addr``."""
+
+    def on_run(self, run: Run, addrs: List[int], taken: Optional[bool] = None) -> None:
+        """A straight-line run executed (``instr_runs`` sinks only).
+
+        ``addrs`` holds the word addresses of the run's loads and stores
+        in execution order; the list is reused, so copy what you keep.
+        ``taken`` is the outcome of the conditional branch ending the
+        run, or ``None`` when the run ends otherwise (or traps first).
+        """
 
 
 class CountingSink(EventSink):

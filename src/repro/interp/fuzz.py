@@ -166,6 +166,19 @@ def _semantics(outcome: Tuple) -> Tuple:
     return outcome[:3]
 
 
+def _semantics_differ(got: Tuple, anchor: Tuple) -> bool:
+    """Whether an HLO-transformed program's outcome contradicts the
+    unoptimized program's.
+
+    A step limit says nothing about semantics across strategies: HLO
+    changes how many steps a program takes, so the two programs run out
+    at unrelated points, or only one of them runs out at all.
+    """
+    if got[0] == "steplimit" or anchor[0] == "steplimit":
+        return False
+    return _semantics(got) != _semantics(anchor)
+
+
 def fuzz_one(
     seed: int,
     engines: Sequence[str],
@@ -191,7 +204,7 @@ def fuzz_one(
                     "none", max_steps,
                 )
             got = observe(program, inputs, "reference", "none", max_steps)
-            if _semantics(got[0]) != _semantics(anchor[0]):
+            if _semantics_differ(got[0], anchor[0]):
                 failures.append(
                     {
                         "seed": seed,

@@ -151,11 +151,12 @@ class Interpreter:
         self.plans_compiled = 0
         self.plan_cache_hits = 0
 
-        # Sink capability negotiation: both engines honour the sink's
+        # Sink capability negotiation: every engine honours the sink's
         # declared needs_* flags, so a sink that does not consume a
-        # callback never pays for it (and both engines deliver the same
+        # callback never pays for it (and every engine delivers the same
         # stream for any given sink, which the differential harness
-        # checks).
+        # checks — except that the fast engine folds an ``instr_runs``
+        # sink's per-instruction events into ``on_run`` calls).
         if sink is None:
             self._sink_instr = self._sink_branch = False
             self._sink_call = self._sink_return = self._sink_mem = False

@@ -4,6 +4,8 @@ and data footprints — see DESIGN.md's substitution table)."""
 
 from __future__ import annotations
 
+from typing import Iterable, Sequence, Tuple
+
 
 class DirectMappedCache:
     """A direct-mapped cache with byte-addressed lines."""
@@ -34,6 +36,41 @@ class DirectMappedCache:
         self.tags[index] = line
         self.misses += 1
         return False
+
+    def line_slots(self, lines: Iterable[int]) -> Tuple[Tuple[int, int], ...]:
+        """``(index, line)`` of each line number, for :meth:`touch_lines`."""
+        return tuple((line % self.num_lines, line) for line in lines)
+
+    def touch_lines(self, slots: Sequence[Tuple[int, int]], accesses: int) -> None:
+        """Charge ``accesses`` accesses of one monotonic address run
+        whose distinct lines, in order, are ``slots``.
+
+        Each distinct line is looked up once (a monotonic run never
+        returns to a line it left, so no other access can evict it
+        first); every other access hits the line just touched.  Equals
+        calling :meth:`access` on every address of the run.
+        """
+        self.accesses += accesses
+        tags = self.tags
+        for index, line in slots:
+            if tags[index] != line:
+                tags[index] = line
+                self.misses += 1
+
+    def access_all(self, addrs: Sequence[int], scale: int = 1) -> None:
+        """:meth:`access` each ``addr * scale`` in order."""
+        tags = self.tags
+        shift = self._shift
+        num_lines = self.num_lines
+        misses = 0
+        for addr in addrs:
+            line = addr * scale >> shift
+            index = line % num_lines
+            if tags[index] != line:
+                tags[index] = line
+                misses += 1
+        self.accesses += len(addrs)
+        self.misses += misses
 
     @property
     def miss_rate(self) -> float:

@@ -46,3 +46,13 @@ class CodeLayout:
             # taken on the final image); fall back to the procedure base.
             return self.proc_addrs.get(proc_name, CODE_BASE)
         return base + index * INSTR_BYTES
+
+    def run_lines(
+        self, proc_name: str, label: str, start: int, count: int, line_bytes: int
+    ) -> Tuple[range, int]:
+        """The distinct ``line_bytes`` code lines that ``count``
+        instructions of a block from ``start`` are fetched from, in
+        fetch order, and the address of the last instruction."""
+        first = self.instr_addr(proc_name, label, start)
+        last = self.instr_addr(proc_name, label, start + count - 1)
+        return range(first // line_bytes, last // line_bytes + 1), last

@@ -18,20 +18,28 @@ effects, all modelled here:
   misprediction penalties.
 
 Capacities are scaled to our workload sizes (DESIGN.md, substitutions).
+
+The model is an ``instr_runs`` sink: the fast engine hands it one
+straight-line run per callback, and it charges the run's fetches,
+spills, data accesses and branch at once, exactly as the per-instruction
+events would (docs/machine.md, "Charging a run").  The per-instruction
+callbacks the other engines deliver go through the same code as runs of
+one instruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..interp.events import EventSink
+from ..interp.events import EventSink, Run
 from ..interp.interpreter import (
     DEFAULT_ENGINE,
     DEFAULT_MAX_STEPS,
     Interpreter,
     Result,
 )
+from ..ir.instructions import Load, Store
 from ..ir.program import Program
 from .branch import TwoBitPredictor
 from .cache import DirectMappedCache
@@ -73,8 +81,23 @@ class MachineConfig:
     max_spill_rate: float = 0.35
 
 
+def _accrue(acc: float, rate: float, count: int) -> Tuple[float, List[int]]:
+    """Spill accrual over ``count`` instructions from accumulator ``acc``:
+    the exit accumulator (the same float additions, in the same order,
+    as accruing per instruction) and the positions that spill."""
+    spilled: List[int] = []
+    for i in range(count):
+        acc += rate
+        if acc >= 1.0:
+            acc -= 1.0
+            spilled.append(i)
+    return acc, spilled
+
+
 class PA8000Model(EventSink):
     """EventSink that accumulates machine metrics during a run."""
+
+    instr_runs = True
 
     def __init__(self, program: Program, config: Optional[MachineConfig] = None):
         self.config = config or MachineConfig()
@@ -99,26 +122,77 @@ class PA8000Model(EventSink):
             )
         self._spill_acc = 0.0
         self._last_pc = 0
+        # Per-run facts, computed on a run's first delivery (see _shape),
+        # and the runs of one instruction that on_instr charges.
+        self._shapes: Dict[Run, tuple] = {}
+        self._singles: Dict[Tuple[str, str, int], Run] = {}
+        self._frame_slots: Dict[Tuple[int, int], tuple] = {}
 
     # ------------------------------------------------------------------
     # Event callbacks
     # ------------------------------------------------------------------
 
     def on_instr(self, proc, label, index, instr) -> None:
-        pc = self.layout.instr_addr(proc.name, label, index)
-        self._last_pc = pc
-        self.retired += 1
-        self.icache.access(pc)
-        rate = self._spill_rates.get(proc.name, 0.0)
+        key = (proc.name, label, index)
+        run = self._singles.get(key)
+        if run is None:
+            run = self._singles[key] = Run(proc, label, index, 1)
+        self.on_run(run, ())
+
+    def on_run(self, run, addrs, taken=None) -> None:
+        shape = self._shapes.get(run)
+        if shape is None:
+            shape = self._shapes[run] = self._shape(run)
+        slots, last_pc, rate, mem_pos = shape
+        fetched = run.count
+        self._last_pc = last_pc
+        spilled = None
         if rate:
-            self._spill_acc += rate
-            if self._spill_acc >= 1.0:
-                self._spill_acc -= 1.0
-                # One spill: a store or reload near the top of the frame.
-                self.spills += 1
-                self.retired += 1
-                self.icache.access(pc)
-                self.dcache.access(SIM_STACK_BASE - self.depth * FRAME_BYTES - 8)
+            self._spill_acc, spilled = _accrue(self._spill_acc, rate, fetched)
+        if spilled:
+            # Each spill is a store or reload near the top of the frame,
+            # and re-fetches the instruction just fetched.  It comes
+            # before its own instruction's memory access.
+            self.spills += len(spilled)
+            fetched += len(spilled)
+            spill_addr = SIM_STACK_BASE - self.depth * FRAME_BYTES - 8
+            merged = []
+            j = 0
+            for pos in spilled:
+                while j < len(addrs) and mem_pos[j] < pos:
+                    merged.append(addrs[j] * WORD_BYTES)
+                    j += 1
+                merged.append(spill_addr)
+            merged.extend(a * WORD_BYTES for a in addrs[j:])
+            self.dcache.access_all(merged)
+        elif addrs:
+            self.dcache.access_all(addrs, WORD_BYTES)
+        self.retired += fetched
+        self.icache.touch_lines(slots, fetched)
+        if taken is not None:
+            self.predictor.predict_and_update(last_pc, taken)
+        elif run.jump:
+            self.predictor.force_correct()
+
+    def _shape(self, run) -> tuple:
+        """What charging ``run`` needs that does not change between its
+        executions: its I-cache line slots, its last pc, its procedure's
+        spill rate and the positions of its loads and stores (for
+        ordering spills against them).  Spill accrual itself is not
+        memoized: the float accumulator practically never enters a run
+        with the same value twice."""
+        name = run.proc.name
+        lines, last_pc = self.layout.run_lines(
+            name, run.label, run.start, run.count, self.config.line_bytes
+        )
+        rate = self._spill_rates.get(name, 0.0)
+        mem_pos: Tuple[int, ...] = ()
+        if rate:
+            instrs = run.proc.blocks[run.label].instrs[run.start : run.start + run.count]
+            mem_pos = tuple(
+                i for i, instr in enumerate(instrs) if instr.__class__ in (Load, Store)
+            )
+        return self.icache.line_slots(lines), last_pc, rate, mem_pos
 
     def on_branch(self, proc, label, index, kind, taken, target_label) -> None:
         if kind == "cond":
@@ -158,12 +232,23 @@ class PA8000Model(EventSink):
         self.dcache.access(addr * WORD_BYTES)
 
     def _frame_traffic(self, words: int, store: bool) -> None:
-        """Save/restore traffic at the current simulated frame."""
-        base = SIM_STACK_BASE - self.depth * FRAME_BYTES
-        for offset in range(words):
-            self.retired += 1  # the save/restore instruction itself
-            self.icache.access(self._last_pc)  # fetched near the call site
-            self.dcache.access(base - offset * WORD_BYTES)
+        """Save/restore traffic at the current simulated frame: one
+        instruction per word, fetched at the call site (``_last_pc``,
+        fetched just before, so always a hit), storing to or loading
+        from descending words below the frame base."""
+        if words <= 0:
+            return
+        self.retired += words
+        self.icache.accesses += words
+        key = (self.depth, words)
+        slots = self._frame_slots.get(key)
+        if slots is None:
+            base = SIM_STACK_BASE - self.depth * FRAME_BYTES
+            line = self.dcache.line_bytes
+            last = base - (words - 1) * WORD_BYTES
+            lines = range(base // line, last // line - 1, -1)
+            slots = self._frame_slots[key] = self.dcache.line_slots(lines)
+        self.dcache.touch_lines(slots, words)
 
     # ------------------------------------------------------------------
     # Results
