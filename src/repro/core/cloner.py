@@ -509,10 +509,9 @@ def clone_pass(
                     and instr.callee == group.callee.name
                     and context_matches(instr, group.spec)
                 ):
-                    instr.callee = clone_name
-                    instr.args = [
-                        a for i, a in enumerate(instr.args) if i not in group.spec
-                    ]
+                    instr = block.instrs[index] = _retargeted(
+                        instr, group.spec, clone_name
+                    )
                     replaced += 1
                     stage.mutated.add(clone_name)
                     report.record_clone_replacement(
@@ -536,19 +535,31 @@ def clone_pass(
     return replaced
 
 
+def _retargeted(instr: Call, spec: Dict[int, Operand], clone_name: str) -> Call:
+    """A new call to the clone with the specialized actuals edited out."""
+    return instr.with_callee(
+        clone_name, [a for i, a in enumerate(instr.args) if i not in spec]
+    )
+
+
 def _retarget_site(site: CallSite, spec: Dict[int, Operand], clone_name: str) -> bool:
-    """Point one call site at the clone, editing specialized actuals out."""
-    instr = site.instr
-    if not isinstance(instr, Call):
+    """Point one call site at the clone, editing specialized actuals out.
+
+    The site may have been transformed since the graph was built, so
+    the live call is found by ``site_id`` (as the inliner does) and must
+    still call the clonee with a matching context.  The retargeted call
+    replaces it in its block, and ``site.instr`` follows it so later
+    reads of the site see the new call.
+    """
+    if site.callee is None:
         return False
-    # The site may have been transformed since the graph was built;
-    # verify it still calls the clonee with a matching context.
-    if site.callee is None or instr.callee != site.callee.name:
+    located = site.caller.find_call(site.instr.site_id)
+    if located is None:
         return False
-    if not context_matches(instr, spec):
+    block, index, instr = located
+    if instr.callee != site.callee.name or not context_matches(instr, spec):
         return False
-    instr.callee = clone_name
-    instr.args = [a for i, a in enumerate(instr.args) if i not in spec]
+    site.instr = block.instrs[index] = _retargeted(instr, spec, clone_name)
     return True
 
 

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..analysis.callgraph import CallSite
 from ..analysis.manager import AnalysisManager
 from ..ir.basicblock import BasicBlock
-from ..ir.instructions import Call, Jump
+from ..ir.instructions import Jump
 from ..ir.procedure import Procedure
 from ..ir.program import Program
 from ..obs import NULL_OBSERVER
@@ -229,11 +229,7 @@ def perform_inline(
     pass_number: int,
 ) -> bool:
     """Inline the direct call with ``site_id`` in ``caller`` (if present)."""
-    located = None
-    for block, index, instr in caller.call_sites():
-        if instr.site_id == site_id and isinstance(instr, Call):
-            located = (block, index, instr)
-            break
+    located = caller.find_call(site_id)
     if located is None:
         return False
     block, index, instr = located

@@ -29,7 +29,12 @@ from ..ir.values import FuncRef, GlobalRef, Operand, Reg
 
 
 class BlockSnapshot:
-    """An immutable copy of a procedure body taken before any edits."""
+    """A procedure body as it was before any edits.
+
+    Holds copies of the block lists and shares the instructions, which
+    are never edited once placed; whoever writes into an instruction
+    (a renamed copy, a fresh ``site_id``) copies it first.
+    """
 
     __slots__ = ("entry", "blocks", "param_names", "entry_count")
 
@@ -37,7 +42,7 @@ class BlockSnapshot:
         self.entry = proc.entry
         self.param_names = [name for name, _ in proc.params]
         self.blocks: List[Tuple[str, List[Instr], Optional[int]]] = [
-            (label, [instr.copy() for instr in block.instrs], block.profile_count)
+            (label, list(block.instrs), block.profile_count)
             for label, block in proc.blocks.items()
         ]
         entry_block = proc.blocks.get(proc.entry) if proc.entry else None
@@ -241,6 +246,7 @@ def copy_into_new_proc(
         )
         for instr in instrs:
             if isinstance(instr, (Call, ICall)):
+                instr = instr.copy()
                 instr.site_id = clonee_module.new_site_id()
             block.instrs.append(instr)
             moved_instrs.append(instr)

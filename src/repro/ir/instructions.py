@@ -1,11 +1,18 @@
 """Instruction set of the ucode-like IR.
 
-Every instruction is a small mutable object with an optional destination
-register and a list of operand *uses*.  Transform passes traverse and
-rewrite operands through :meth:`Instr.map_operands`, and block-level
-transforms retarget control flow through :meth:`Instr.retarget`; keeping
-those two entry points uniform is what makes the inliner/cloner body
-transplant (Section 2.3/2.4) a single generic renaming walk.
+Every instruction is a small object with an optional destination
+register and a list of operand *uses*.  Once an instruction sits in a
+:class:`~repro.ir.basicblock.BasicBlock` it is never edited again: a
+pass that wants different operands or targets puts a new instruction
+into the block's list, built by :meth:`Instr.with_operands` or
+:meth:`Instr.with_targets` (both return the instruction itself when
+nothing changes).  That contract is what lets a rollback snapshot share
+instruction objects with the live IR and copy only block lists.
+
+:meth:`Instr.map_operands` and :meth:`Instr.retarget` edit in place and
+are only for a fresh :meth:`Instr.copy` that has not been placed yet —
+the inliner/cloner body transplant (Section 2.3/2.4), a single generic
+renaming walk.
 
 Call sites carry a ``site_id`` that is unique within their module as
 produced by the front end.  The profile database keys call-site counts
@@ -36,14 +43,35 @@ class Instr:
         return []
 
     def map_operands(self, fn: OperandMap) -> None:
-        """Rewrite every used operand in place through ``fn``."""
+        """Rewrite every used operand in place through ``fn``.
+
+        Only for a fresh :meth:`copy` not yet placed in a block; placed
+        instructions are replaced via :meth:`with_operands`.
+        """
+
+    def with_operands(self, fn: OperandMap) -> "Instr":
+        """This instruction with every operand passed through ``fn``.
+
+        Returns ``self`` when ``fn`` returns every operand unchanged
+        (``is``), otherwise a new instruction; ``self`` is never edited.
+        """
+        return self
 
     def targets(self) -> List[str]:
         """Labels of successor blocks (terminators only)."""
         return []
 
     def retarget(self, mapping: Dict[str, str]) -> None:
-        """Rewrite successor labels through ``mapping`` (missing = keep)."""
+        """Rewrite successor labels through ``mapping`` (missing = keep).
+
+        Only for a fresh :meth:`copy` not yet placed in a block; placed
+        terminators are replaced via :meth:`with_targets`.
+        """
+
+    def with_targets(self, mapping: Dict[str, str]) -> "Instr":
+        """This terminator with successor labels mapped (missing = keep);
+        ``self`` when no label changes."""
+        return self
 
     def copy(self) -> "Instr":
         """A copy suitable for transplanting into another body.
@@ -51,9 +79,10 @@ class Instr:
         Operand values (``Reg``/``Imm``/``FuncRef``/``GlobalRef``) are
         frozen dataclasses, so only the instruction object itself and
         its operand *lists* need duplicating; ``map_operands`` replaces
-        references, never mutates operands.  This sits on the hot path
-        of inlining, cloning, and every guarded-pass snapshot — a full
-        ``copy.deepcopy`` here dominated compile time.
+        references, never mutates operands.  Inlining and cloning copy
+        the call sites they move (each needs a fresh ``site_id``) and
+        inlining copies the whole body it renames; rollback snapshots
+        copy no instructions at all.
         """
         cls = self.__class__
         new = cls.__new__(cls)
@@ -84,6 +113,10 @@ class Mov(Instr):
     def map_operands(self, fn: OperandMap) -> None:
         self.src = fn(self.src)
 
+    def with_operands(self, fn: OperandMap) -> Instr:
+        src = fn(self.src)
+        return self if src is self.src else Mov(self.dest, src)
+
     def __str__(self) -> str:
         return "{} = mov {}".format(self.dest, self.src)
 
@@ -103,6 +136,10 @@ class UnOp(Instr):
 
     def map_operands(self, fn: OperandMap) -> None:
         self.src = fn(self.src)
+
+    def with_operands(self, fn: OperandMap) -> Instr:
+        src = fn(self.src)
+        return self if src is self.src else UnOp(self.dest, self.op, src)
 
     def __str__(self) -> str:
         return "{} = {} {}".format(self.dest, self.op, self.src)
@@ -126,6 +163,13 @@ class BinOp(Instr):
         self.lhs = fn(self.lhs)
         self.rhs = fn(self.rhs)
 
+    def with_operands(self, fn: OperandMap) -> Instr:
+        lhs = fn(self.lhs)
+        rhs = fn(self.rhs)
+        if lhs is self.lhs and rhs is self.rhs:
+            return self
+        return BinOp(self.dest, self.op, lhs, rhs)
+
     def __str__(self) -> str:
         return "{} = {} {}, {}".format(self.dest, self.op, self.lhs, self.rhs)
 
@@ -144,6 +188,10 @@ class Load(Instr):
 
     def map_operands(self, fn: OperandMap) -> None:
         self.addr = fn(self.addr)
+
+    def with_operands(self, fn: OperandMap) -> Instr:
+        addr = fn(self.addr)
+        return self if addr is self.addr else Load(self.dest, addr)
 
     def __str__(self) -> str:
         return "{} = load [{}]".format(self.dest, self.addr)
@@ -166,6 +214,13 @@ class Store(Instr):
     def map_operands(self, fn: OperandMap) -> None:
         self.addr = fn(self.addr)
         self.value = fn(self.value)
+
+    def with_operands(self, fn: OperandMap) -> Instr:
+        addr = fn(self.addr)
+        value = fn(self.value)
+        if addr is self.addr and value is self.value:
+            return self
+        return Store(addr, value)
 
     def __str__(self) -> str:
         return "store [{}], {}".format(self.addr, self.value)
@@ -196,6 +251,10 @@ class Alloca(Instr):
     def map_operands(self, fn: OperandMap) -> None:
         self.size = fn(self.size)
 
+    def with_operands(self, fn: OperandMap) -> Instr:
+        size = fn(self.size)
+        return self if size is self.size else Alloca(self.dest, size)
+
     def __str__(self) -> str:
         return "{} = alloca {}".format(self.dest, self.size)
 
@@ -224,6 +283,19 @@ class Call(Instr):
 
     def map_operands(self, fn: OperandMap) -> None:
         self.args = [fn(a) for a in self.args]
+
+    def with_operands(self, fn: OperandMap) -> Instr:
+        args = [fn(a) for a in self.args]
+        if all(new is old for new, old in zip(args, self.args)):
+            return self
+        return self.with_callee(self.callee, args)
+
+    def with_callee(self, callee: str, args: List[Operand]) -> "Call":
+        """A new call to ``callee`` with ``args``: same destination,
+        ``site_id`` and ``origin`` (the cloner's retarget)."""
+        new = Call(self.dest, callee, args, self.site_id)
+        new.origin = self.origin
+        return new
 
     def __str__(self) -> str:
         args = ", ".join(str(a) for a in self.args)
@@ -257,6 +329,15 @@ class ICall(Instr):
         self.func = fn(self.func)
         self.args = [fn(a) for a in self.args]
 
+    def with_operands(self, fn: OperandMap) -> Instr:
+        func = fn(self.func)
+        args = [fn(a) for a in self.args]
+        if func is self.func and all(new is old for new, old in zip(args, self.args)):
+            return self
+        new = ICall(self.dest, func, args, self.site_id)
+        new.origin = self.origin
+        return new
+
     def to_direct(self) -> "Call":
         """Devirtualize: requires ``func`` to be a constant ``FuncRef``."""
         if not isinstance(self.func, FuncRef):
@@ -286,6 +367,10 @@ class Jump(Instr):
     def retarget(self, mapping: Dict[str, str]) -> None:
         self.target = mapping.get(self.target, self.target)
 
+    def with_targets(self, mapping: Dict[str, str]) -> Instr:
+        target = mapping.get(self.target, self.target)
+        return self if target == self.target else Jump(target)
+
     def __str__(self) -> str:
         return "jmp {}".format(self.target)
 
@@ -309,12 +394,25 @@ class Branch(Instr):
     def map_operands(self, fn: OperandMap) -> None:
         self.cond = fn(self.cond)
 
+    def with_operands(self, fn: OperandMap) -> Instr:
+        cond = fn(self.cond)
+        if cond is self.cond:
+            return self
+        return Branch(cond, self.then_target, self.else_target)
+
     def targets(self) -> List[str]:
         return [self.then_target, self.else_target]
 
     def retarget(self, mapping: Dict[str, str]) -> None:
         self.then_target = mapping.get(self.then_target, self.then_target)
         self.else_target = mapping.get(self.else_target, self.else_target)
+
+    def with_targets(self, mapping: Dict[str, str]) -> Instr:
+        then_target = mapping.get(self.then_target, self.then_target)
+        else_target = mapping.get(self.else_target, self.else_target)
+        if then_target == self.then_target and else_target == self.else_target:
+            return self
+        return Branch(self.cond, then_target, else_target)
 
     def __str__(self) -> str:
         return "br {}, {}, {}".format(self.cond, self.then_target, self.else_target)
@@ -337,6 +435,12 @@ class Ret(Instr):
     def map_operands(self, fn: OperandMap) -> None:
         if self.value is not None:
             self.value = fn(self.value)
+
+    def with_operands(self, fn: OperandMap) -> Instr:
+        if self.value is None:
+            return self
+        value = fn(self.value)
+        return self if value is self.value else Ret(value)
 
     def __str__(self) -> str:
         return "ret" if self.value is None else "ret {}".format(self.value)

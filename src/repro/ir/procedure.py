@@ -138,6 +138,14 @@ class Procedure:
                     sites.append((block, idx, instr))
         return sites
 
+    def find_call(self, site_id: int) -> Optional[Tuple[BasicBlock, int, Call]]:
+        """The first direct call with ``site_id``, as (block, index, call)."""
+        for block in self.blocks.values():
+            for idx, instr in enumerate(block.instrs):
+                if isinstance(instr, Call) and instr.site_id == site_id:
+                    return block, idx, instr
+        return None
+
     def direct_callees(self) -> List[str]:
         return [
             instr.callee

@@ -146,21 +146,25 @@ def constant_propagation(program: Program, proc: Procedure) -> bool:
 
     # Rewrite using the in-states.
     rewritten = False
+    state: Dict[str, Lattice] = {}
+
+    def subst(op: Operand) -> Operand:
+        nonlocal rewritten
+        if isinstance(op, Reg):
+            known = state.get(op.name, _UNDEF)
+            if isinstance(known, (Imm, FuncRef, GlobalRef)):
+                rewritten = True
+                return known
+        return op
+
     for label in labels:
         state = dict(ins.get(label, {}))
         block = proc.blocks[label]
         new_instrs = []
         for instr in block.instrs:
-            def subst(op: Operand) -> Operand:
-                nonlocal rewritten
-                if isinstance(op, Reg):
-                    known = state.get(op.name, _UNDEF)
-                    if isinstance(known, (Imm, FuncRef, GlobalRef)):
-                        rewritten = True
-                        return known
-                return op
-
-            instr.map_operands(subst)
+            # Placed instructions are never edited; a substituted one
+            # is a new object in ``new_instrs``.
+            instr = instr.with_operands(subst)
 
             replacement = instr
             cls = instr.__class__

@@ -62,29 +62,36 @@ def copy_propagation(program: Program, proc: Procedure) -> bool:
             depth += 1
         return reg
 
+    # Placed instructions are never edited: a rewritten one replaces
+    # the original in its block's list.
     if forward:
-        for instr in proc.instructions():
-            def subst(op: Operand) -> Operand:
-                nonlocal changed
-                if isinstance(op, Reg) and op.name in forward:
-                    changed = True
-                    return root(op)
-                return op
+        def subst(op: Operand) -> Operand:
+            nonlocal changed
+            if isinstance(op, Reg) and op.name in forward:
+                changed = True
+                return root(op)
+            return op
 
-            instr.map_operands(subst)
+        for block in proc.blocks.values():
+            instrs = block.instrs
+            for index, instr in enumerate(instrs):
+                instrs[index] = instr.with_operands(subst)
 
     # Pass 2: local forwarding within each block.
-    for block in proc.blocks.values():
-        available: Dict[str, Operand] = {}
-        for instr in block.instrs:
-            def subst_local(op: Operand) -> Operand:
-                nonlocal changed
-                if isinstance(op, Reg) and op.name in available:
-                    changed = True
-                    return available[op.name]
-                return op
+    available: Dict[str, Operand] = {}
 
-            instr.map_operands(subst_local)
+    def subst_local(op: Operand) -> Operand:
+        nonlocal changed
+        if isinstance(op, Reg) and op.name in available:
+            changed = True
+            return available[op.name]
+        return op
+
+    for block in proc.blocks.values():
+        available = {}
+        instrs = block.instrs
+        for index, instr in enumerate(instrs):
+            instrs[index] = instr = instr.with_operands(subst_local)
             if instr.dest is not None:
                 dest = instr.dest.name
                 # Redefinition kills copies in both directions.

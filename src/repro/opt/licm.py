@@ -74,7 +74,8 @@ def _ensure_preheader(proc: Procedure, loop: Loop) -> Optional[str]:
     # than inheriting the header's per-iteration count.
     mapping = {loop.header: preheader.label}
     for label in outside:
-        proc.blocks[label].terminator.retarget(mapping)
+        block = proc.blocks[label]
+        block.instrs[-1] = block.terminator.with_targets(mapping)
     return preheader.label
 
 

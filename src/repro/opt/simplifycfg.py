@@ -67,7 +67,7 @@ def _one_round(proc: Procedure) -> bool:
             for block in proc.blocks.values():
                 term = block.terminator
                 if term is not None and any(t in mapping for t in term.targets()):
-                    term.retarget(mapping)
+                    block.instrs[-1] = term.with_targets(mapping)
                     changed = True
             if proc.entry in mapping:
                 # Keep the entry block itself; only its jump threads.

@@ -5,15 +5,18 @@ Two granularities, matching the two granularities at which passes run:
 - :class:`ProcedureSnapshot` — a structured copy of one procedure's
   mutable state (blocks, entry, params, attrs).  Used by the guarded
   scalar pipeline, which applies one pass to one procedure at a time.
-  Instructions are copied individually (``Instr.copy()``, the same
-  primitive body transplants use) because passes like constant
-  propagation rewrite operands of existing instructions in place.
 - :class:`ProgramSnapshot` — a structural copy of every module
   (procedures, globals, externs).  Used around program-level stages
   (clone/inline passes, dead-call elimination) that may touch any
   procedure.  Deliberately *not* the printer/parser round trip: a
   snapshot is taken before every guarded stage whether or not it
   fails, so capture must stay cheap.
+
+Both copy each block's *list* and share the instruction objects.  That
+is sound because an instruction placed in a block is never edited
+again (the contract in :mod:`repro.ir.instructions`): a pass that
+rewrites an operand or a branch target puts a new instruction into the
+live block's list, so the snapshot's list still holds the old one.
 
 Restores are **in place**: the ``Procedure``/``Program``/``Module``
 objects keep their identity, so references held by surrounding driver
@@ -36,7 +39,7 @@ from ..ir.program import Program
 def _copy_blocks(blocks: Dict[str, BasicBlock]) -> Dict[str, BasicBlock]:
     out: Dict[str, BasicBlock] = {}
     for label, block in blocks.items():
-        copied = BasicBlock(label, [instr.copy() for instr in block.instrs])
+        copied = BasicBlock(label, block.instrs)
         copied.profile_count = block.profile_count
         out[label] = copied
     return out

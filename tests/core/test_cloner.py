@@ -16,9 +16,12 @@ from repro.core import (
     spec_key,
 )
 from repro.analysis import CallGraph
+from repro.core.cloner import retarget_members
+from repro.core.stage import Stage
 from repro.frontend import compile_program
 from repro.interp import run_program
 from repro.ir import Call, FuncRef, Imm, verify_program
+from repro.obs import BuildObserver, InliningLedger
 
 
 DISPATCH = [
@@ -223,6 +226,59 @@ class TestClonePass:
             i.callee for _b, _i, i in clones[0].call_sites() if isinstance(i, Call)
         ]
         assert self_calls and all(c == clones[0].name for c in self_calls)
+
+
+class TestRetargetMembers:
+    """Members are found in their caller by site id, as the inliner finds
+    its sites: the object the call graph holds may have been replaced."""
+
+    def make(self):
+        program = compile_program(DISPATCH)
+        graph = CallGraph(program)
+        config = HLOConfig()
+        group = next(
+            g for g in build_clone_groups(program, graph, config, None)
+            if g.spec.get(0) == Imm(0)
+        )
+        ledger = InliningLedger()
+        stage = Stage(program, config, HLOReport(), BuildObserver(ledger=ledger),
+                      1, graph, {}, {}, None)
+        return program, stage, group, ledger
+
+    @staticmethod
+    def replace_live(member, make):
+        block, index, instr = member.caller.find_call(member.site_id)
+        block.instrs[index] = make(instr)
+        return block.instrs[index]
+
+    def test_changed_member_rejected(self):
+        _program, stage, group, ledger = self.make()
+        changed, kept = group.sites
+        # A pass rewrote the call after the graph was built: same site
+        # id, but it no longer supplies the spec's constant.
+        live = self.replace_live(
+            changed, lambda i: i.with_callee(i.callee, [Imm(1)] + i.args[1:])
+        )
+        assert retarget_members(stage, group, "compute.c0") == 1
+        assert live.callee == "compute"
+        rejected = [e for e in ledger.entries if e.decision == "rejected"]
+        assert [(e.site_id, e.reason) for e in rejected] == [
+            (changed.site_id, "call site changed before retargeting")
+        ]
+        assert kept.caller.find_call(kept.site_id)[2].callee == "compute.c0"
+
+    def test_replaced_member_retargeted_in_place_of_live_call(self):
+        _program, stage, group, _ledger = self.make()
+        member = group.sites[0]
+        stale = member.instr
+        live = self.replace_live(member, lambda i: i.copy())
+        assert retarget_members(stage, group, "compute.c0") == 2
+        now = member.caller.find_call(member.site_id)[2]
+        assert now is member.instr and now is not live
+        assert (now.callee, len(now.args)) == ("compute.c0", 1)
+        assert (now.site_id, now.origin) == (live.site_id, live.origin)
+        # Neither the graph's object nor the replaced one was edited.
+        assert stale.callee == live.callee == "compute"
 
 
 class TestCloneNameRecycling:

@@ -134,3 +134,61 @@ class TestMisc:
         assert str(Jump("L")) == "jmp L"
         assert "call @f(%a) #2" in str(Call(None, "f", [Reg("a")], 2))
         assert str(Probe(5)) == "probe 5"
+
+
+SAMPLES = [
+    Mov(Reg("d"), Reg("s")),
+    UnOp(Reg("d"), "neg", Reg("a")),
+    BinOp(Reg("d"), "add", Reg("a"), Imm(3)),
+    Load(Reg("d"), Reg("p")),
+    Store(Reg("p"), Reg("v")),
+    Alloca(Reg("d"), Reg("n")),
+    Call(Reg("d"), "f", [Reg("a"), Imm(1)], site_id=7, origin=2),
+    ICall(None, Reg("f"), [Reg("a")], site_id=3),
+    Branch(Reg("c"), "a", "b"),
+    Jump("a"),
+    Ret(Reg("v")),
+    Ret(None),
+    Probe(5),
+]
+
+
+class TestReplacement:
+    """``with_operands``/``with_targets`` never edit the receiver: they
+    return it unchanged, or a new instruction equal to what editing a
+    copy in place would give."""
+
+    @pytest.mark.parametrize("instr", SAMPLES, ids=str)
+    def test_with_operands_matches_edited_copy(self, instr):
+        before = str(instr)
+        expected = instr.copy()
+        expected.map_operands(upper_regs)
+        replaced = instr.with_operands(upper_regs)
+        assert str(instr) == before
+        assert str(replaced) == str(expected)
+        assert (replaced is instr) == (str(expected) == before)
+        for slot in ("site_id", "origin"):
+            assert getattr(replaced, slot, None) == getattr(instr, slot, None)
+
+    @pytest.mark.parametrize("instr", SAMPLES, ids=str)
+    def test_with_operands_identity_keeps_instr(self, instr):
+        assert instr.with_operands(lambda op: op) is instr
+
+    @pytest.mark.parametrize("instr", SAMPLES, ids=str)
+    def test_with_targets_matches_edited_copy(self, instr):
+        mapping = {"a": "z"}
+        before = str(instr)
+        expected = instr.copy()
+        expected.retarget(mapping)
+        replaced = instr.with_targets(mapping)
+        assert str(instr) == before
+        assert str(replaced) == str(expected)
+        assert (replaced is instr) == (str(expected) == before)
+        assert instr.with_targets({"q": "r"}) is instr
+
+    def test_with_callee_keeps_site_and_origin(self):
+        call = Call(Reg("d"), "f", [Reg("a"), Imm(1)], site_id=7, origin=2)
+        moved = call.with_callee("f.c0", [Reg("a")])
+        assert (moved.dest, moved.callee, moved.args) == (Reg("d"), "f.c0", [Reg("a")])
+        assert (moved.site_id, moved.origin) == (7, 2)
+        assert (call.callee, call.args) == ("f", [Reg("a"), Imm(1)])

@@ -54,9 +54,11 @@ class TestProcedureSnapshot:
         assert print_program(prog) == before
 
     def test_snapshot_isolated_from_later_mutation(self):
-        # The snapshot must hold copies: mutating the live procedure
-        # after capture (even instruction-level, in place) cannot leak
-        # into the checkpoint.
+        # The snapshot holds its own block lists: editing the live
+        # procedure's lists after capture cannot leak into the
+        # checkpoint.  Instruction objects are shared, which is sound
+        # because a placed instruction is never edited (see
+        # test_cow_contract.py); passes replace it in the list instead.
         prog = program()
         proc = prog.proc("api")
         before = print_program(prog)
