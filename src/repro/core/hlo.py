@@ -25,7 +25,7 @@ from ..ir.instructions import ICall
 from ..ir.program import Program
 from ..ir.verifier import verify_program
 from ..obs import NULL_OBSERVER
-from ..opt.pass_manager import default_pipeline, optimize_program
+from ..opt.pass_manager import default_pipeline, fixpoint_scope, optimize_program
 from .budget import Budget
 from .cloner import CloneDatabase, clone_pass
 from .config import HLOConfig
@@ -35,6 +35,9 @@ from .report import HLOReport, PassTrace
 SiteCounts = Dict[Tuple[str, int], int]
 
 
+# The scalar pipeline's fixpoint stamps are shared by every stage of
+# one call and dropped when it returns, so built programs carry none.
+@fixpoint_scope()
 def run_hlo(
     program: Program,
     config: Optional[HLOConfig] = None,

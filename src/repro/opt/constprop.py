@@ -14,6 +14,7 @@ this pass folds the parameter tests downstream.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Sequence, Union
 
 from ..ir.instructions import BinOp, Branch, ICall, Instr, Jump, Mov, UnOp
@@ -39,26 +40,26 @@ def _meet(a: Lattice, b: Lattice) -> Lattice:
     return a if a == b else None
 
 
-def _transfer(instrs: Sequence[Instr], state: Dict[str, Lattice]) -> Dict[str, Lattice]:
-    """Apply ``instrs`` in order to a copy of ``state``."""
-    out = dict(state)
+def _value(op: Operand, state: Dict[str, Lattice]) -> Lattice:
+    if isinstance(op, Reg):
+        return state.get(op.name, _UNDEF)
+    return op  # Imm / FuncRef / GlobalRef are constants
 
-    def value_of(op: Operand) -> Lattice:
-        if isinstance(op, Reg):
-            return out.get(op.name, _UNDEF)
-        return op  # Imm / FuncRef / GlobalRef are constants
 
+def _transfer(instrs: Sequence[Instr], state: Dict[str, Lattice]) -> None:
+    """Apply ``instrs`` in order to ``state``, in place."""
     for instr in instrs:
         cls = instr.__class__
         if cls is Mov:
-            out[instr.dest.name] = value_of(instr.src)
+            state[instr.dest.name] = _value(instr.src, state)
         elif cls is BinOp:
-            out[instr.dest.name] = _fold_binop(instr.op, value_of(instr.lhs), value_of(instr.rhs))
+            state[instr.dest.name] = _fold_binop(
+                instr.op, _value(instr.lhs, state), _value(instr.rhs, state)
+            )
         elif cls is UnOp:
-            out[instr.dest.name] = _fold_unop(instr.op, value_of(instr.src))
+            state[instr.dest.name] = _fold_unop(instr.op, _value(instr.src, state))
         elif instr.dest is not None:  # Load, Call, ICall, Alloca
-            out[instr.dest.name] = None
-    return out
+            state[instr.dest.name] = None
 
 
 def _fold_binop(op: str, lhs: Lattice, rhs: Lattice) -> Lattice:
@@ -103,46 +104,52 @@ def constant_propagation(program: Program, proc: Procedure) -> bool:
     if not labels:
         return False
     preds = proc.predecessors()
+    position = {label: i for i, label in enumerate(labels)}
 
-    # Dataflow to fixpoint.
+    # Dataflow to fixpoint: a worklist of blocks in reverse postorder,
+    # revisiting a block only when a predecessor's out-state changed.
+    # The lattice is finite and every transfer monotone, so this
+    # reaches the same fixpoint as sweeping every block each round;
+    # the visit bound only guards against a non-monotone surprise.
     ins: Dict[str, Dict[str, Lattice]] = {}
     outs: Dict[str, Dict[str, Lattice]] = {}
     entry_state: Dict[str, Lattice] = {name: None for name, _ in proc.params}
-    changed = True
-    rounds = 0
-    while changed and rounds < 50:
-        changed = False
-        rounds += 1
-        for label in labels:
-            if label == proc.entry:
-                in_state = dict(entry_state)
-            else:
-                in_state = {}
-                merged: Dict[str, Lattice] = {}
-                first = True
-                for pred in preds[label]:
-                    pstate = outs.get(pred)
-                    if pstate is None:
-                        continue
-                    if first:
-                        merged = dict(pstate)
-                        first = False
-                    else:
-                        keys = set(merged) | set(pstate)
-                        merged = {
-                            k: _meet(merged.get(k, _UNDEF), pstate.get(k, _UNDEF))
-                            for k in keys
-                        }
+    pending = list(range(len(labels)))  # already a heap
+    queued = [True] * len(labels)
+    visits = 50 * len(labels)
+    while pending and visits:
+        visits -= 1
+        index = heapq.heappop(pending)
+        queued[index] = False
+        label = labels[index]
+        if label == proc.entry:
+            in_state = dict(entry_state)
+        else:
+            in_state = {}
+            first = True
+            for pred in preds[label]:
+                pstate = outs.get(pred)
+                if pstate is None:
+                    continue
                 if first:
-                    merged = {}
-                in_state = merged
-            if ins.get(label) != in_state:
-                ins[label] = in_state
-                changed = True
-            out_state = _transfer(proc.blocks[label].instrs, in_state)
-            if outs.get(label) != out_state:
-                outs[label] = out_state
-                changed = True
+                    in_state = dict(pstate)
+                    first = False
+                else:
+                    keys = set(in_state) | set(pstate)
+                    in_state = {
+                        k: _meet(in_state.get(k, _UNDEF), pstate.get(k, _UNDEF))
+                        for k in keys
+                    }
+        ins[label] = in_state
+        out_state = dict(in_state)
+        _transfer(proc.blocks[label].instrs, out_state)
+        if outs.get(label) != out_state:
+            outs[label] = out_state
+            for succ in proc.blocks[label].successors():
+                succ_index = position.get(succ)
+                if succ_index is not None and not queued[succ_index]:
+                    queued[succ_index] = True
+                    heapq.heappush(pending, succ_index)
 
     # Rewrite using the in-states.
     rewritten = False
@@ -170,18 +177,13 @@ def constant_propagation(program: Program, proc: Procedure) -> bool:
             cls = instr.__class__
             if cls is BinOp:
                 folded = _fold_binop(
-                    instr.op,
-                    instr.lhs if not isinstance(instr.lhs, Reg) else state.get(instr.lhs.name, _UNDEF),
-                    instr.rhs if not isinstance(instr.rhs, Reg) else state.get(instr.rhs.name, _UNDEF),
+                    instr.op, _value(instr.lhs, state), _value(instr.rhs, state)
                 )
                 if isinstance(folded, (Imm, FuncRef, GlobalRef)):
                     replacement = Mov(instr.dest, folded)
                     rewritten = True
             elif cls is UnOp:
-                folded = _fold_unop(
-                    instr.op,
-                    instr.src if not isinstance(instr.src, Reg) else state.get(instr.src.name, _UNDEF),
-                )
+                folded = _fold_unop(instr.op, _value(instr.src, state))
                 if isinstance(folded, (Imm, FuncRef, GlobalRef)):
                     replacement = Mov(instr.dest, folded)
                     rewritten = True
@@ -196,7 +198,7 @@ def constant_propagation(program: Program, proc: Procedure) -> bool:
                 rewritten = True
 
             # Track state forward within the block for subsequent instrs.
-            state = _transfer([replacement], state)
+            _transfer((replacement,), state)
             new_instrs.append(replacement)
         block.instrs = new_instrs
     return rewritten

@@ -69,17 +69,7 @@ def build_result_from_reply(fields: dict) -> BuildResult:
     isoms = fields["isoms"]
     order = fields.get("module_order") or sorted(isoms)
     report = deserialize_report(fields.get("report", {}))
-    modules = [from_isom_text(isoms[name]) for name in order]
-    # Cross-module inlining deletes a procedure once every call site
-    # absorbed it, but sibling modules still *declare* it — and the
-    # linker treats a declaration as a reference.  The isom texts must
-    # ship verbatim (they are the byte-identity checksum), so the
-    # stale externs are dropped here, after reconstruction.
-    deleted = set(report.deleted_procs)
-    for module in modules:
-        for name in [n for n in module.externs if n in deleted]:
-            del module.externs[name]
-    program = link_modules(modules)
+    program = link_modules(from_isom_text(isoms[name]) for name in order)
     stats_obj = fields.get("stats", {})
     stats = BuildStats(
         scope=fields.get("scope", "c"),

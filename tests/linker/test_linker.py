@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import HLOConfig
 from repro.frontend import compile_module, compile_program
 from repro.interp import run_program
 from repro.ir import Signature, Type, print_module
@@ -17,6 +18,7 @@ from repro.linker import (
     to_isom_text,
     write_isom,
 )
+from repro.workloads.suite import get_workload, workload_names
 
 LIB = """
 static int tripled(int x) { return x * 3; }
@@ -83,6 +85,41 @@ class TestLinkStep:
             [compile_module(LIB, "lib"), compile_module(MAIN, "main")]
         )
         assert run_program(program, [2]).output == [7]
+
+    def test_unreferenced_undefined_extern_is_skipped(self):
+        main = compile_module(
+            "extern int api(int x);\nint main() { print_int(4); return 0; }", "main"
+        )
+        assert "api" in main.externs
+        assert run_program(link_modules([main]), []).output == [4]
+
+    def test_code_pointer_is_a_reference(self):
+        main = compile_module(
+            "extern int api(int x);\n"
+            "int main() { int f = api; print_int(f == api); return 0; }",
+            "main",
+        )
+        with pytest.raises(LinkError) as err:
+            link_modules([main])
+        assert "@api" in str(err.value)
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_hlo_output_relinks(name):
+    """A cp build's isoms link again: the externs of procedures HLO
+    deleted are left in sibling modules, unreferenced."""
+    w = get_workload(name)
+    build = Toolchain(
+        list(w.sources), train_inputs=[list(t) for t in w.train_inputs]
+    ).build("cp", HLOConfig(budget_percent=400))
+    assert build.report.deleted_procs
+    relinked = link_modules(
+        from_isom_text(to_isom_text(m)) for m in build.program.modules.values()
+    )
+    inputs = list(w.train_inputs[0])
+    assert run_program(relinked, inputs).behavior() == run_program(
+        build.program, inputs
+    ).behavior()
 
 
 class TestToolchain:
